@@ -1,5 +1,6 @@
 #include "sketch/rle.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "obs/telemetry.h"
@@ -111,6 +112,12 @@ uint64_t BitReader::ReadGamma() {
   return n;
 }
 
+bool BitReader::TryReadBits(int nbits, uint64_t* out) {
+  if (pos_ + static_cast<size_t>(nbits) > bytes_.size() * 8) return false;
+  *out = ReadBits(nbits);
+  return true;
+}
+
 bool BitReader::TryReadBit(bool* out) {
   if (AtEnd()) return false;
   *out = ReadBit();
@@ -147,18 +154,29 @@ std::vector<uint8_t> EncodeBitmapsRle(const std::vector<uint32_t>& bitmaps) {
   return w.bytes();
 }
 
-std::vector<uint32_t> DecodeBitmapsRle(const std::vector<uint8_t>& bytes,
-                                       size_t count) {
+StatusOr<std::vector<uint32_t>> DecodeBitmapsRle(
+    const std::vector<uint8_t>& bytes, size_t count) {
   BitReader r(bytes);
   std::vector<uint32_t> out;
-  out.reserve(count);
+  out.reserve(std::min(count, bytes.size() * 8 / (kPrefixBits + kFringeBits)));
   for (size_t i = 0; i < count; ++i) {
-    int prefix = static_cast<int>(r.ReadBits(kPrefixBits));
-    int fringe = static_cast<int>(r.ReadBits(kFringeBits));
-    uint32_t fringe_bits = static_cast<uint32_t>(r.ReadBits(fringe));
-    uint32_t bm = prefix >= 32 ? ~0u : ((prefix == 0) ? 0u : ((1u << prefix) - 1));
-    bm |= fringe_bits << prefix;
-    out.push_back(bm);
+    uint64_t prefix, fringe, fringe_bits;
+    if (!r.TryReadBits(kPrefixBits, &prefix) ||
+        !r.TryReadBits(kFringeBits, &fringe)) {
+      return Status::InvalidArgument("bitmap RLE: stream ends mid-header");
+    }
+    if (fringe > 32) {
+      return Status::OutOfRange("bitmap RLE: fringe longer than 32 bits");
+    }
+    if (prefix + fringe > 32) {
+      return Status::OutOfRange("bitmap RLE: prefix plus fringe overruns "
+                                "the 32-bit bitmap");
+    }
+    if (!r.TryReadBits(static_cast<int>(fringe), &fringe_bits)) {
+      return Status::InvalidArgument("bitmap RLE: stream ends mid-fringe");
+    }
+    const uint64_t ones = (1ULL << prefix) - 1;
+    out.push_back(static_cast<uint32_t>(ones | (fringe_bits << prefix)));
   }
   return out;
 }
@@ -174,85 +192,127 @@ size_t RleEncodedBytes(const std::vector<uint32_t>& bitmaps) {
 
 namespace {
 
-// The bank codec's hot core. The bank is transposed once into a
-// position-major bit stream (bit index pos*count + j holds bit `pos` of
-// bitmaps[j]), packed LSB-first into 64-bit words; runs are then scanned a
-// word at a time with countr_one. Transposition iterates only the *set*
-// bits of each bitmap (a populated FM bitmap has ~log2(n) of 32 set), so
-// the whole pass is far below one operation per bank bit.
+// The bank codec's hot core. Stream index pos*count + j holds bit `pos` of
+// bitmaps[j]; that is, bank row `pos` is the `count` bits of position `pos`
+// across the bitmaps. An FM bank is all-ones rows, a short mixed fringe and
+// all-zero rows, so only the fringe is ever materialized: one AND/OR pass
+// finds the solid rows, whose runs are closed-form, and the fringe rows are
+// built eight positions at a time by 8x8 bit-matrix transposes.
 
-// Reusable transposition buffer: BankRleBytes runs once or twice per
-// simulated message, so the words must not be reallocated per call.
-std::vector<uint64_t>& TransposeScratch() {
-  thread_local std::vector<uint64_t> words;
-  return words;
+// Bitmap chunks (64 bitmaps each) whose fringe tiles are built together. A
+// bank up to kTileChunks*64 bitmaps builds every tile once; a wider one
+// rebuilds its window of tiles per fringe row to stay in stream order.
+constexpr size_t kTileChunks = 8;
+
+// Transposes an 8x8 bit matrix held one row per byte: bit c of byte r
+// moves to bit r of byte c (Hacker's Delight, 7-3).
+inline uint64_t Transpose8x8(uint64_t x) {
+  uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+  x ^= t ^ (t << 28);
+  return x;
 }
 
-void TransposeBank(const uint32_t* bitmaps, size_t count,
-                   std::vector<uint64_t>* words) {
-  const size_t total = count * 32;
-  words->assign((total + 63) / 64, 0);
-  for (size_t j = 0; j < count; ++j) {
-    uint32_t bm = bitmaps[j];
-    while (bm != 0) {
-      int pos = std::countr_zero(bm);
-      bm &= bm - 1;
-      size_t idx = static_cast<size_t>(pos) * count + j;
-      (*words)[idx >> 6] |= 1ULL << (idx & 63);
+// Byte k of the result is bits [shift, shift + 8) of bm[k], for k < n <= 8.
+inline uint64_t GatherBlock(const uint32_t* bm, size_t n, int shift) {
+  uint64_t x = 0;
+  for (size_t k = 0; k < n; ++k) {
+    x |= static_cast<uint64_t>((bm[k] >> shift) & 0xFFu) << (8 * k);
+  }
+  return x;
+}
+
+// Fills tile[c - c0][r] with bank row shift + r over the 64 bitmaps of
+// chunk c, for chunks [c0, c1) and r in [0, 8). Bitmaps past `count` read
+// as zero.
+void BuildTiles(const uint32_t* bitmaps, size_t count, int shift, size_t c0,
+                size_t c1, uint64_t (*tile)[8]) {
+  for (size_t c = c0; c < c1; ++c) {
+    uint64_t* rows = tile[c - c0];
+    for (int r = 0; r < 8; ++r) rows[r] = 0;
+    const size_t end = std::min(count, (c + 1) * 64);
+    for (size_t j = c * 64; j < end; j += 8) {
+      // A constant 8 lets the compiler unroll every full block's gather.
+      const size_t n = std::min<size_t>(8, end - j);
+      const uint64_t gathered = n == 8 ? GatherBlock(bitmaps + j, 8, shift)
+                                       : GatherBlock(bitmaps + j, n, shift);
+      const uint64_t block = Transpose8x8(gathered);
+      const int col = static_cast<int>(j - c * 64);
+      for (int r = 0; r < 8; ++r) rows[r] |= ((block >> (8 * r)) & 0xFF) << col;
     }
   }
 }
 
-/// Calls fn(run_length) for each maximal run of equal bits in the first
-/// `total` bits of `words`, in stream order; the first run's bit value is
-/// words[0] & 1 and values alternate from there. Bits at index >= total
-/// must be zero (TransposeBank guarantees this).
+/// Lists the maximal runs of equal bits of the position-major stream of a
+/// non-empty bank, calling fn(run_length) for each in stream order. The
+/// first run's bit value is bitmaps[0] & 1 and values alternate from there.
 template <typename Fn>
-void ScanRuns(const std::vector<uint64_t>& words, size_t total, Fn&& fn) {
-  if (total == 0) return;
-  bool current = words[0] & 1;
-  size_t i = 0;
-  while (i < total) {
-    const size_t start = i;
-    for (;;) {
-      const size_t w = i >> 6;
-      const int off = static_cast<int>(i & 63);
-      uint64_t chunk = words[w] >> off;
-      if (!current) chunk = ~chunk;
-      const size_t match = static_cast<size_t>(std::countr_one(chunk));
-      const size_t avail = 64 - static_cast<size_t>(off);
-      if (match < avail) {
-        i += match;
-        break;
-      }
-      i += avail;
-      if (i >= total || (i >> 6) >= words.size()) break;
-    }
-    if (i > total) i = total;  // a zero run may spill into padding bits
-    fn(i - start);
-    current = !current;
+void ForEachRun(const uint32_t* bitmaps, size_t count, Fn&& fn) {
+  uint32_t all = ~0u, any = 0;
+  for (size_t j = 0; j < count; ++j) {
+    all &= bitmaps[j];
+    any |= bitmaps[j];
   }
+  const int lo = std::countr_one(all);        // rows [0, lo) are all ones
+  const int hi = 32 - std::countl_zero(any);  // rows [hi, 32) are all zeros
+
+  // The open run: its bit value and length so far.
+  uint64_t bit = bitmaps[0] & 1;
+  uint64_t run = static_cast<uint64_t>(lo) * count;
+  // Appends the low n bits of x (n in [1, 64], higher bits zero). Bit i of
+  // the transition mask is set where stream bit i differs from the one
+  // before it, so each set bit closes the open run.
+  auto append = [&](uint64_t x, int n) {
+    uint64_t t = (x ^ ((x << 1) | bit)) & (~0ULL >> (64 - n));
+    int last = 0;
+    while (t != 0) {
+      const int i = std::countr_zero(t);
+      t &= t - 1;
+      fn(run + static_cast<uint64_t>(i - last));
+      run = 0;
+      last = i;
+    }
+    run += static_cast<uint64_t>(n - last);
+    bit = (x >> (n - 1)) & 1;
+  };
+
+  const size_t chunks = (count + 63) / 64;
+  const size_t windows = (chunks + kTileChunks - 1) / kTileChunks;
+  uint64_t tile[kTileChunks][8];
+  for (int base = lo; base < hi; base += 8) {
+    const int rows = std::min(8, hi - base);
+    for (int r = 0; r < rows; ++r) {
+      for (size_t w = 0; w < windows; ++w) {
+        const size_t c0 = w * kTileChunks;
+        const size_t c1 = std::min(chunks, c0 + kTileChunks);
+        if (r == 0 || windows > 1) {
+          BuildTiles(bitmaps, count, base, c0, c1, tile);
+        }
+        for (size_t c = c0; c < c1; ++c) {
+          append(tile[c - c0][r],
+                 static_cast<int>(std::min<size_t>(64, count - c * 64)));
+        }
+      }
+    }
+  }
+
+  if (hi < 32) {
+    // The all-zero rows: one run, merged with a trailing zero run.
+    if (bit != 0) {
+      fn(run);
+      run = 0;
+    }
+    run += static_cast<uint64_t>(32 - hi) * count;
+  }
+  fn(run);
 }
 
 inline size_t GammaBits(uint64_t n) {
   int len = 63 - std::countl_zero(n);
   return static_cast<size_t>(2 * len + 1);
-}
-
-// Sets bits [begin, end) of the packed word array.
-void SetBitRange(std::vector<uint64_t>* words, size_t begin, size_t end) {
-  if (begin >= end) return;
-  const size_t wb = begin >> 6;
-  const size_t we = (end - 1) >> 6;
-  const uint64_t first = ~0ULL << (begin & 63);
-  const uint64_t last = ~0ULL >> (63 - ((end - 1) & 63));
-  if (wb == we) {
-    (*words)[wb] |= first & last;
-    return;
-  }
-  (*words)[wb] |= first;
-  for (size_t w = wb + 1; w < we; ++w) (*words)[w] = ~0ULL;
-  (*words)[we] |= last;
 }
 
 }  // namespace
@@ -261,10 +321,9 @@ std::vector<uint8_t> EncodeBankRle(const std::vector<uint32_t>& bitmaps) {
   TD_PROFILE_SCOPE(obs::Phase::kRleEncode);
   BitWriter w;
   if (bitmaps.empty()) return w.bytes();
-  std::vector<uint64_t>& words = TransposeScratch();
-  TransposeBank(bitmaps.data(), bitmaps.size(), &words);
-  w.WriteBit(words[0] & 1);
-  ScanRuns(words, bitmaps.size() * 32, [&w](uint64_t run) { w.WriteGamma(run); });
+  w.WriteBit(bitmaps[0] & 1);
+  ForEachRun(bitmaps.data(), bitmaps.size(),
+             [&w](uint64_t run) { w.WriteGamma(run); });
   return w.bytes();
 }
 
@@ -278,9 +337,8 @@ StatusOr<std::vector<uint32_t>> DecodeBankRle(const std::vector<uint8_t>& bytes,
   if (!r.TryReadBit(&current)) {
     return Status::InvalidArgument("bank RLE: empty stream");
   }
-  // Rebuild the transposed word stream run by run, then un-transpose by
-  // iterating only the set bits.
-  std::vector<uint64_t> words((total + 63) / 64, 0);
+  // Stream index i is bit i / count of bitmaps[i % count], so a run of
+  // ones sets one position across a range of bitmaps per row it spans.
   size_t i = 0;
   while (i < total) {
     uint64_t run;
@@ -290,17 +348,18 @@ StatusOr<std::vector<uint32_t>> DecodeBankRle(const std::vector<uint8_t>& bytes,
     if (run > total - i) {
       return Status::OutOfRange("bank RLE: run overruns the bank");
     }
-    if (current) SetBitRange(&words, i, i + static_cast<size_t>(run));
+    if (current) {
+      size_t pos = i / count;
+      size_t j = i % count;
+      for (uint64_t left = run; left > 0; ++pos, j = 0) {
+        const size_t end =
+            static_cast<size_t>(std::min<uint64_t>(count, j + left));
+        for (size_t k = j; k < end; ++k) bitmaps[k] |= 1u << pos;
+        left -= end - j;
+      }
+    }
     i += static_cast<size_t>(run);
     current = !current;
-  }
-  for (size_t w = 0; w < words.size(); ++w) {
-    uint64_t bits = words[w];
-    while (bits != 0) {
-      size_t idx = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      bitmaps[idx % count] |= (1u << (idx / count));
-    }
   }
   return bitmaps;
 }
@@ -311,11 +370,8 @@ size_t BankRleBytes(const std::vector<uint32_t>& bitmaps) {
 
 size_t BankRleBytes(const uint32_t* bitmaps, size_t count) {
   if (count == 0) return 0;
-  std::vector<uint64_t>& words = TransposeScratch();
-  TransposeBank(bitmaps, count, &words);
   size_t bits = 1;
-  ScanRuns(words, count * 32,
-           [&bits](uint64_t run) { bits += GammaBits(run); });
+  ForEachRun(bitmaps, count, [&bits](uint64_t run) { bits += GammaBits(run); });
   return (bits + 7) / 8;
 }
 

@@ -11,10 +11,16 @@
 // which compresses a typical populated bitmap to well under a byte.
 //
 // The bank codec (EncodeBankRle / BankRleBytes) is the message-size unit of
-// every simulated epoch, so it runs word-at-a-time: the bank is transposed
-// into a position-major 64-bit-word stream once, and runs are scanned with
-// countr_one/countr_zero instead of a div/mod per bit. The size-only and
-// encoding paths share the one run-scanning core.
+// every simulated epoch, so it touches only the bank's fringe. Row `pos` of
+// the position-major stream is bit `pos` of every bitmap. One AND/OR pass
+// over the bitmaps finds L, the rows set in every bitmap, and H, one past
+// the highest row set in any; the all-ones rows below L and the all-zero
+// rows from H up are one run each, sized in closed form. Only the fringe
+// rows [L, H) are built, eight rows at a time from branch-free 8x8
+// bit-matrix transposes (8 bitmaps x 8 positions per uint64_t), and their
+// runs are listed from the set bits of the transition mask with
+// countr_zero. Sizing and encoding share that one run lister, which needs
+// no allocation and no static or thread_local state.
 #ifndef TD_SKETCH_RLE_H_
 #define TD_SKETCH_RLE_H_
 
@@ -57,6 +63,8 @@ class BitReader {
   /// Non-aborting variants for decoding untrusted input: return false
   /// instead of CHECK-failing when the stream ends mid-value.
   bool TryReadBit(bool* out);
+  /// nbits in [0, 64]; on false nothing is consumed.
+  bool TryReadBits(int nbits, uint64_t* out);
   bool TryReadGamma(uint64_t* out);
 
  private:
@@ -68,8 +76,11 @@ class BitReader {
 std::vector<uint8_t> EncodeBitmapsRle(const std::vector<uint32_t>& bitmaps);
 
 /// Inverse of EncodeBitmapsRle. `count` is the number of bitmaps encoded.
-std::vector<uint32_t> DecodeBitmapsRle(const std::vector<uint8_t>& bytes,
-                                       size_t count);
+/// Corrupt input is a checked error: a stream that ends mid-field returns
+/// InvalidArgument; a fringe field over 32, or a prefix plus fringe that
+/// overruns the 32-bit bitmap, returns OutOfRange.
+StatusOr<std::vector<uint32_t>> DecodeBitmapsRle(
+    const std::vector<uint8_t>& bytes, size_t count);
 
 /// Encoded size in bytes without materializing the encoding.
 size_t RleEncodedBytes(const std::vector<uint32_t>& bitmaps);

@@ -356,6 +356,229 @@ TEST(RleTest, DecodeRejectsEmptyStream) {
   EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
 }
 
+// Checks one bank against the bit-at-a-time reference: BankRleBytes and
+// EncodeBankRle byte for byte, then a DecodeBankRle round trip.
+void ExpectMatchesReference(const std::vector<uint32_t>& bank) {
+  const std::vector<uint8_t> bytes = EncodeBankRle(bank);
+  ASSERT_EQ(bytes, reference::EncodeBankRle(bank)) << "count=" << bank.size();
+  ASSERT_EQ(BankRleBytes(bank), reference::BankRleBytes(bank))
+      << "count=" << bank.size();
+  auto decoded = DecodeBankRle(bytes, bank.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded.value(), bank);
+}
+
+// A bank whose all-ones rows are exactly [0, lo) and whose set rows end
+// exactly at hi (0 <= lo <= hi <= 32), with random bits in between.
+std::vector<uint32_t> BankWithFringe(int lo, int hi, size_t count, Rng* rng) {
+  const uint32_t low = lo == 0 ? 0u : (~0u >> (32 - lo));
+  const uint32_t span = hi == 0 ? 0u : (~0u >> (32 - hi));
+  std::vector<uint32_t> bank(count);
+  for (uint32_t& bm : bank) {
+    bm = low | (static_cast<uint32_t>(rng->Next()) & span);
+  }
+  if (hi > lo) {
+    bank[rng->NextBounded(count)] |= 1u << (hi - 1);
+    bank[rng->NextBounded(count)] &= ~(1u << lo);
+  }
+  return bank;
+}
+
+TEST(RleTest, KernelMatchesReferenceOnEveryWidth) {
+  // Every width from 1 to 130 crosses the 8-bitmap block and 64-bitmap
+  // chunk boundaries of the fringe tiles, with solid, random and FM-shaped
+  // banks at each.
+  Rng rng(331);
+  for (size_t count = 1; count <= 130; ++count) {
+    ExpectMatchesReference(std::vector<uint32_t>(count, 0u));
+    ExpectMatchesReference(std::vector<uint32_t>(count, ~0u));
+    for (int which = 2; which < 5; ++which) {
+      ExpectMatchesReference(
+          AdversarialBank(which, static_cast<int>(count), &rng));
+    }
+    const int lo = static_cast<int>(rng.NextBounded(12));
+    const int hi = lo + 1 + static_cast<int>(rng.NextBounded(12));
+    ExpectMatchesReference(BankWithFringe(lo, hi, count, &rng));
+  }
+}
+
+TEST(RleTest, KernelMatchesReferenceOnWideBanks) {
+  // Past 512 bitmaps the fringe tiles are rebuilt window by window.
+  Rng rng(333);
+  for (size_t count : {511u, 512u, 513u, 1030u}) {
+    for (int which = 2; which < 5; ++which) {
+      ExpectMatchesReference(
+          AdversarialBank(which, static_cast<int>(count), &rng));
+    }
+    ExpectMatchesReference(BankWithFringe(3, 14, count, &rng));
+  }
+}
+
+TEST(RleTest, KernelMatchesReferenceOnSingleBitBanks) {
+  // One set bit (and, mirrored, one clear bit) at every (bitmap, position).
+  for (size_t count : {40u, 65u}) {
+    for (size_t j = 0; j < count; ++j) {
+      for (int pos = 0; pos < 32; ++pos) {
+        std::vector<uint32_t> bank(count, 0u);
+        bank[j] = 1u << pos;
+        ExpectMatchesReference(bank);
+        for (uint32_t& bm : bank) bm = ~bm;
+        ExpectMatchesReference(bank);
+      }
+    }
+  }
+}
+
+TEST(RleTest, KernelMatchesReferenceOnExactFringeWidths) {
+  // Fringes of 8, 9, 16, 17 and 32 rows: whole 8-row tiles, and one row
+  // past them, at several row offsets.
+  Rng rng(337);
+  for (int rows : {8, 9, 16, 17, 32}) {
+    for (int lo = 0; lo + rows <= 32; lo += 3) {
+      for (size_t count : {1u, 8u, 40u, 64u, 65u, 130u}) {
+        std::vector<uint32_t> bank = BankWithFringe(lo, lo + rows, count, &rng);
+        uint32_t all = ~0u, any = 0;
+        for (uint32_t bm : bank) {
+          all &= bm;
+          any |= bm;
+        }
+        ASSERT_EQ(std::countr_one(all), lo);
+        ASSERT_EQ(32 - std::countl_zero(any), lo + rows);
+        ExpectMatchesReference(bank);
+      }
+    }
+  }
+}
+
+TEST(RleTest, KernelMatchesReferenceOnFmBanks) {
+  for (uint64_t n : {1ull, 10ull, 600ull, 40000ull, 1000000ull}) {
+    FmSketch by_key(40, 19);
+    for (uint64_t k = 0; k < n; ++k) by_key.AddKey(k);
+    ExpectMatchesReference(by_key.bitmaps());
+    FmSketch by_value(40, 23);
+    by_value.AddValue(7, n);
+    ExpectMatchesReference(by_value.bitmaps());
+  }
+}
+
+TEST(RleTest, KernelMatchesReferenceOnRandomSweep) {
+  // 200k seeded banks: random widths, fringe offsets, fringe widths and
+  // fill densities.
+  Rng rng(347);
+  for (int trial = 0; trial < 200000; ++trial) {
+    const size_t count = 1 + rng.NextBounded(48);
+    const int lo = static_cast<int>(rng.NextBounded(33));
+    const int hi = lo + static_cast<int>(rng.NextBounded(33 - lo));
+    std::vector<uint32_t> bank = BankWithFringe(lo, hi, count, &rng);
+    if (trial % 2 == 1) {
+      // Thin the fringe so long runs cross row and tile boundaries.
+      for (uint32_t& bm : bank) {
+        const uint32_t low = lo == 0 ? 0u : (~0u >> (32 - lo));
+        bm = (bm & static_cast<uint32_t>(rng.Next())) | low;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(bank)) << "trial " << trial;
+  }
+}
+
+TEST(RleTest, DecodeBitmapsRejectsTruncatedStream) {
+  std::vector<uint32_t> bitmaps(40, 0x0000ffffu);
+  auto bytes = EncodeBitmapsRle(bitmaps);
+  bytes.resize(bytes.size() / 2);
+  auto result = DecodeBitmapsRle(bytes, 40);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
+}
+
+TEST(RleTest, DecodeBitmapsRejectsOverlongFringe) {
+  // A 6-bit fringe field can claim up to 63 bits; a bitmap holds 32.
+  BitWriter w;
+  w.WriteBits(0, 5);
+  w.WriteBits(40, 6);
+  w.WriteBits(~0ULL, 40);
+  auto result = DecodeBitmapsRle(w.bytes(), 1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kOutOfRange);
+}
+
+TEST(RleTest, DecodeBitmapsRejectsPrefixPlusFringeOverrun) {
+  // A 20-bit prefix plus a 20-bit fringe would shift bits out of the top.
+  BitWriter w;
+  w.WriteBits(20, 5);
+  w.WriteBits(20, 6);
+  w.WriteBits(0xfffff, 20);
+  auto result = DecodeBitmapsRle(w.bytes(), 1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kOutOfRange);
+}
+
+// Decodes `bytes` with both decoders at `count` bitmaps. Either decode may
+// fail, but must not abort; a decoded bank must re-encode to the size its
+// sizer reports.
+void DecodeMutated(const std::vector<uint8_t>& bytes, size_t count) {
+  auto bank = DecodeBankRle(bytes, count);
+  if (bank.ok()) {
+    ASSERT_EQ(bank.value().size(), count);
+    ASSERT_EQ(BankRleBytes(bank.value()), EncodeBankRle(bank.value()).size());
+  }
+  auto bitmaps = DecodeBitmapsRle(bytes, count);
+  if (bitmaps.ok()) {
+    ASSERT_EQ(bitmaps.value().size(), count);
+    ASSERT_EQ(RleEncodedBytes(bitmaps.value()),
+              EncodeBitmapsRle(bitmaps.value()).size());
+  }
+}
+
+TEST(RleTest, DecodersSurviveMutatedInput) {
+  // Seeded mutation fuzzing with a fixed budget: truncation at every byte,
+  // 1-3 bit flips, appended garbage, and a bitmap count off by one.
+  Rng rng(353);
+  std::vector<std::vector<uint32_t>> seeds;
+  for (uint64_t n : {0ull, 1ull, 10ull, 600ull, 40000ull}) {
+    FmSketch s(40, 29);
+    for (uint64_t k = 0; k < n; ++k) s.AddKey(k);
+    seeds.push_back(s.bitmaps());
+  }
+  for (int count : {1, 7, 40, 65}) {
+    for (int which = 0; which < 5; ++which) {
+      seeds.push_back(AdversarialBank(which, count, &rng));
+    }
+  }
+  for (const std::vector<uint32_t>& bank : seeds) {
+    const size_t count = bank.size();
+    for (const std::vector<uint8_t>& encoded :
+         {EncodeBankRle(bank), EncodeBitmapsRle(bank)}) {
+      for (size_t len = 0; len < encoded.size(); ++len) {
+        const std::vector<uint8_t> cut(encoded.begin(), encoded.begin() + len);
+        for (size_t c : {count - 1, count, count + 1}) DecodeMutated(cut, c);
+      }
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<uint8_t> flipped = encoded;
+        const int flips = 1 + static_cast<int>(rng.NextBounded(3));
+        for (int f = 0; f < flips; ++f) {
+          const size_t bit = rng.NextBounded(flipped.size() * 8);
+          flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+        for (size_t c : {count - 1, count, count + 1}) {
+          DecodeMutated(flipped, c);
+        }
+      }
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<uint8_t> padded = encoded;
+        const size_t extra = 1 + rng.NextBounded(16);
+        for (size_t b = 0; b < extra; ++b) {
+          padded.push_back(static_cast<uint8_t>(rng.Next()));
+        }
+        for (size_t c : {count - 1, count, count + 1}) DecodeMutated(padded, c);
+      }
+    }
+    // A strict prefix of a canonical encoding never decodes at its count.
+    const std::vector<uint8_t> encoded = EncodeBankRle(bank);
+    const std::vector<uint8_t> cut(encoded.begin(), encoded.end() - 1);
+    EXPECT_FALSE(DecodeBankRle(cut, count).ok());
+  }
+}
+
 // --------------------------------------------------------- FmValueMemo --
 
 TEST(FmValueMemoTest, BitIdenticalToAddValue) {
@@ -425,7 +648,8 @@ TEST(RleTest, RoundtripSpecialBitmaps) {
                                 0xfff00fffu, 0x55555555u};
   auto bytes = EncodeBitmapsRle(bitmaps);
   auto decoded = DecodeBitmapsRle(bytes, bitmaps.size());
-  EXPECT_EQ(decoded, bitmaps);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value(), bitmaps);
 }
 
 TEST(RleTest, RoundtripRandomBitmaps) {
@@ -436,7 +660,9 @@ TEST(RleTest, RoundtripRandomBitmaps) {
       bitmaps.push_back(static_cast<uint32_t>(rng.Next()));
     }
     auto bytes = EncodeBitmapsRle(bitmaps);
-    EXPECT_EQ(DecodeBitmapsRle(bytes, 40), bitmaps);
+    auto decoded = DecodeBitmapsRle(bytes, 40);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value(), bitmaps);
     EXPECT_EQ(bytes.size(), RleEncodedBytes(bitmaps));
   }
 }

@@ -80,7 +80,7 @@ telemetry-on run reproduced the off run's every estimate/byte/retry
 counter bit-for-bit), and with --telemetry-baseline BASELINE the
 telemetry-off epoch time is held against the committed pre-telemetry
 td_epoch_us within --max-telemetry-off-overhead percent (default 2.0),
-machine-calibrated by the bank_rle_bytes_ns ratio like the main gate.
+machine-calibrated by the tree_epoch_us ratio like the main gate.
 Without a baseline the overhead comparison is skipped and only the exact
 flags gate.
 
@@ -504,7 +504,10 @@ def check_telemetry(path, baseline_path, max_overhead_pct,
         print("  (no --telemetry-baseline; off-overhead comparison skipped)")
         return failures
     baseline, _ = load_metrics(baseline_path)
-    cal = "bank_rle_bytes_ns"
+    # The TAG Count epoch never reaches the bank RLE codec (its tree
+    # partials are fixed-size), so kernel speedups cannot read as a faster
+    # machine.
+    cal = "tree_epoch_us"
     if ("td_epoch_us" not in baseline or cal not in baseline
             or cal not in metrics or baseline[cal] <= 0):
         failures.append(f"baseline {baseline_path} lacks td_epoch_us or "

@@ -11,7 +11,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "api/experiment.h"
@@ -263,27 +267,43 @@ void BM_RunTrials(benchmark::State& state) {
 BENCHMARK(BM_RunTrials)->Arg(1)->Arg(0);  // 0 = hardware_concurrency
 
 // ------------------------------------------------------------------------
-// SoA scaling curve (--scaling): epoch cost of the structure-of-arrays
-// core vs the object core at 10k / 100k / 1M sensors, constant deployment
-// density (the paper's 600-in-20x20), synopsis diffusion over a Count
-// query at 20% loss. The object core stops at 100k -- the point of the
-// curve is that the SoA core keeps going. Each arm runs twice from a
-// fresh experiment to pin per-n determinism, and at the sizes both cores
-// run, their per-epoch answers and byte tallies must agree exactly.
+// Scaling curve (--scaling): epoch cost of the engine core at 10k / 100k /
+// 1M sensors, constant deployment density (the paper's 600-in-20x20),
+// synopsis diffusion over a Count query at 20% loss. Each size runs twice
+// from a fresh experiment to pin per-n determinism. At 10k and 100k the
+// run's digest (every timed estimate's bits, then the total radio bytes)
+// must equal the one bench/baselines/scaling_object_core.json recorded
+// from the per-node-object engine core before it was deleted.
 
 struct ScalingRun {
   double epoch_ms = 0.0;
   std::vector<double> values;  // per timed epoch: the estimate
   uint64_t bytes = 0;          // total radio bytes after the run
+
+  /// FNV-1a over the estimate bits, then the byte total.
+  uint64_t Digest() const {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto add = [&h](uint64_t x) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (double v : values) {
+      uint64_t b;
+      std::memcpy(&b, &v, sizeof b);
+      add(b);
+    }
+    add(bytes);
+    return h;
+  }
 };
 
-ScalingRun RunScalingOnce(const Scenario& sc, EngineCore core,
-                          uint32_t timed_epochs) {
+ScalingRun RunScalingOnce(const Scenario& sc, uint32_t timed_epochs) {
   Experiment exp = Experiment::Builder()
                        .Scenario(&sc)
                        .Aggregate(AggregateKind::kCount)
                        .Strategy(Strategy::kSynopsisDiffusion)
-                       .Core(core)
                        .GlobalLossRate(0.2)
                        .NetworkSeed(1)
                        .Epochs(1)  // stepped manually below
@@ -301,28 +321,48 @@ ScalingRun RunScalingOnce(const Scenario& sc, EngineCore core,
   return out;
 }
 
+/// The recorded digest for size `tag` ("10k", "100k") from the committed
+/// baseline, or "" when the file or the key is missing (never a match).
+std::string RecordedScalingDigest(const std::string& tag) {
+  std::ifstream in(std::string(TD_BASELINES_DIR) +
+                   "/scaling_object_core.json");
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const std::string key = "\"digest_" + tag + "\"";
+  size_t at = doc.find(key);
+  if (at != std::string::npos) at = doc.find(':', at + key.size());
+  if (at != std::string::npos) at = doc.find('"', at);
+  if (at == std::string::npos) return "";
+  const size_t end = doc.find('"', at + 1);
+  if (end == std::string::npos) return "";
+  return doc.substr(at + 1, end - at - 1);
+}
+
 void AppendScalingJson(bench::BenchJson* json) {
   struct Spec {
     const char* tag;
     size_t n;
     uint32_t epochs;
-    bool object_too;
+    bool recorded;  // a digest from the object core exists for this size
   };
   // Timed epochs shrink with n so the curve stays inside the CI budget.
   const Spec specs[] = {{"10k", 10'000, 4, true},
                         {"100k", 100'000, 2, true},
                         {"1m", 1'000'000, 1, false}};
-  std::printf("\nSoA scaling curve (synopsis diffusion, Count, 20%% loss)\n");
+  std::printf("\nScaling curve (synopsis diffusion, Count, 20%% loss)\n");
   for (const Spec& spec : specs) {
     // Constant density: scale the paper's 600-in-20x20 field with n.
     const double width =
         20.0 * std::sqrt(static_cast<double>(spec.n) / 600.0);
     Scenario sc = MakeSyntheticScenario(7, spec.n, width, width, 3.0);
 
-    ScalingRun soa = RunScalingOnce(sc, EngineCore::kSoa, spec.epochs);
-    ScalingRun soa2 = RunScalingOnce(sc, EngineCore::kSoa, spec.epochs);
+    ScalingRun soa = RunScalingOnce(sc, spec.epochs);
+    ScalingRun soa2 = RunScalingOnce(sc, spec.epochs);
     const bool deterministic =
         soa.values == soa2.values && soa.bytes == soa2.bytes;
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(soa.Digest()));
     json->Entry()
         .Field("metric", std::string("scaling_soa_epoch_ms_") + spec.tag)
         .Field("value", soa.epoch_ms);
@@ -330,21 +370,15 @@ void AppendScalingJson(bench::BenchJson* json) {
         .Field("metric",
                std::string("scaling_soa_deterministic_") + spec.tag)
         .Field("value", deterministic ? 1.0 : 0.0);
-    std::printf("  n=%-5s soa %10.2f ms/epoch  deterministic=%d", spec.tag,
-                soa.epoch_ms, deterministic ? 1 : 0);
+    std::printf("  n=%-5s soa %10.2f ms/epoch  deterministic=%d  digest=%s",
+                spec.tag, soa.epoch_ms, deterministic ? 1 : 0, digest);
 
-    if (spec.object_too) {
-      ScalingRun obj = RunScalingOnce(sc, EngineCore::kObject, spec.epochs);
-      const bool match =
-          obj.values == soa.values && obj.bytes == soa.bytes;
-      json->Entry()
-          .Field("metric", std::string("scaling_obj_epoch_ms_") + spec.tag)
-          .Field("value", obj.epoch_ms);
+    if (spec.recorded) {
+      const bool match = RecordedScalingDigest(spec.tag) == digest;
       json->Entry()
           .Field("metric", std::string("scaling_match_") + spec.tag)
           .Field("value", match ? 1.0 : 0.0);
-      std::printf("  obj %10.2f ms/epoch  match=%d  (%.2fx)", obj.epoch_ms,
-                  match ? 1 : 0, obj.epoch_ms / soa.epoch_ms);
+      std::printf("  match=%d", match ? 1 : 0);
     }
     std::printf("\n");
   }
@@ -528,9 +562,9 @@ int main(int argc, char** argv) {
   // should pay for (and overwrite) the BENCH_micro.json trajectory pass.
   // --json_only skips google-benchmark entirely and just writes the
   // chrono-timed BENCH_micro.json (the CI regression-gate pass).
-  // --scaling additionally runs the 10k/100k/1M SoA-vs-object curve and
-  // emits its scaling_* rows into the same json (check_bench --scaling
-  // gates them).
+  // --scaling additionally runs the 10k/100k/1M scaling curve and emits
+  // its scaling_* rows into the same json (check_bench --scaling gates
+  // them).
   // --telemetry additionally measures the flight-recorder cost and
   // bit-identity flags (check_bench --telemetry gates them).
   bool filtered = false;

@@ -117,11 +117,6 @@ Experiment::Builder& Experiment::Builder::Strategy(td::Strategy strategy) {
   return *this;
 }
 
-Experiment::Builder& Experiment::Builder::Core(td::EngineCore core) {
-  core_ = core;
-  return *this;
-}
-
 Experiment::Builder& Experiment::Builder::CaptureRootState(bool capture) {
   capture_root_state_ = capture;
   return *this;
@@ -246,11 +241,6 @@ Experiment Experiment::Builder::Build() {
                  kind_ == AggregateKind::kFrequentItems),
                "Dynamics() does not support kFrequentItems: its item "
                "streams and precision gradient assume a static tree");
-  TD_CHECK_MSG(!(core_ == EngineCore::kSoa && queries_.empty() &&
-                 kind_ == AggregateKind::kFrequentItems),
-               "Core(kSoa) does not support kFrequentItems: the frequent-"
-               "items engine has its own multi-path machinery with no SoA "
-               "twin; use the default object core");
   TD_CHECK_MSG(!(telemetry_ && shared_network_),
                "Telemetry() is incompatible with a shared Network(): the "
                "sink would tally the other users' traffic into this "
@@ -280,7 +270,9 @@ Experiment Experiment::Builder::Build() {
   }
 
   // Scenario.
-  TD_CHECK(scenario_source_ != ScenarioSource::kNone);
+  TD_CHECK_MSG(scenario_source_ != ScenarioSource::kNone,
+               "no scenario: call Synthetic(seed), Lab(seed) or "
+               "Scenario(&scenario) before Build()");
   switch (scenario_source_) {
     case ScenarioSource::kExternal:
       exp.scenario_ = external_scenario_;
@@ -427,7 +419,7 @@ Experiment Experiment::Builder::Build() {
 
   auto install = [&]<typename A>(std::shared_ptr<A> aggregate) {
     exp.engine_ = MakeEngine(strategy_, sc, exp.network_, aggregate.get(),
-                             engine_options, core_);
+                             engine_options);
     exp.aggregate_ = std::move(aggregate);
   };
 
@@ -456,7 +448,9 @@ Experiment Experiment::Builder::Build() {
     sensors_at = [fixed](uint32_t) { return fixed; };
   }
   if (queries_.empty() && kind_ == AggregateKind::kFrequentItems) {
-    TD_CHECK(items_ != nullptr);
+    TD_CHECK_MSG(items_ != nullptr,
+                 "Aggregate(kFrequentItems) needs the per-node item "
+                 "collections: call Items(&item_source) before Build()");
     std::shared_ptr<PrecisionGradient> gradient = gradient_;
     if (gradient == nullptr) {
       double d = DominationFactor(ComputeHeightHistogram(sc.tree));
@@ -524,7 +518,12 @@ Experiment Experiment::Builder::Build() {
     if (lowered_single) {
       // A one-query set lowers to the dedicated single-aggregate engine:
       // bit-identical to the QuerySetAggregate path (pinned by
-      // queryset_test) without its per-operation type-erasure hop. The
+      // queryset_test) without its per-operation type-erasure hop, and
+      // with the engines' FM-bank arena and epoch-delta replay, which a
+      // query set cannot use (no FmSketch synopsis, no SelfSynopsisKey).
+      // At 10k sensors the query-set path is 1.04-1.92x slower per epoch
+      // (TAG Count 0.57 vs 1.01 ms, TD Count 2.2 vs 3.9 ms, SD Sum 79 vs
+      // 82 ms; DESIGN.md "Multi-query execution"), so the path stays. The
       // same VisitQueryAggregate dispatch builds both, so the two paths
       // cannot drift apart.
       api_internal::VisitQueryAggregate(queries.front(), [&](auto agg) {
@@ -834,7 +833,6 @@ RunResult Experiment::Run() {
   const uint64_t reprocessed_before = engine_->nodes_reprocessed();
 
   RunResult out;
-  out.core = engine_->core();
   out.epochs.reserve(epochs_);
   for (uint32_t e = warmup_; e < warmup_ + epochs_; ++e) {
     out.epochs.push_back(StepEpoch(e));

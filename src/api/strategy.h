@@ -49,29 +49,11 @@ inline bool IsAdaptive(Strategy s) {
   return s == Strategy::kTributaryDelta || s == Strategy::kTdCoarse;
 }
 
-/// Which engine core executes the chosen strategy. Both cores run the same
-/// protocol and are pinned bit-identical; they differ only in how epoch
-/// state is laid out and what scale they reach.
-enum class EngineCore {
-  /// The original per-node-object engines (src/agg/, src/td/): typed
-  /// synopsis/partial inboxes, per-inbox covered NodeSets. The default.
-  kObject,
-  /// The structure-of-arrays core (src/core/): flat bitmap-bank arenas,
-  /// CSR adjacency, per-edge delivered bits, and an epoch-delta cache that
-  /// replays unchanged nodes. Built for 100k-1M node epochs. Not available
-  /// for kFrequentItems.
-  kSoa,
-};
-
-inline const char* EngineCoreName(EngineCore c) {
-  switch (c) {
-    case EngineCore::kObject:
-      return "object";
-    case EngineCore::kSoa:
-      return "soa";
-  }
-  return "?";
-}
+/// The engine core. One value is left: every strategy runs on the
+/// structure-of-arrays core (src/core/). Kept only because
+/// bench/suite/workloads.cc names it; goes with the next change to the
+/// benchmark suite.
+enum class EngineCore { kSoa };
 
 /// Which aggregate an Experiment computes (the Section 5 registry).
 enum class AggregateKind {

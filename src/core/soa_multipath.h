@@ -1,26 +1,32 @@
-// Structure-of-arrays twin of MultipathAggregator (src/agg/): the same
-// synopsis-diffusion sweep, restated over flat epoch state.
+// Synopsis-diffusion multi-path aggregation over the rings topology [16]
+// (Section 2, "Multi-Path-Based").
+//
+// Nodes in ring i+1 broadcast while ring i listens; every ring-i node that
+// hears a ring-(i+1) partial result fuses it into its own. Because each
+// reading reaches the base station along many ring paths, a single message
+// loss almost never removes it from the answer; the price is the
+// duplicate-insensitive synopsis (approximation error, larger messages).
+//
+// Alongside the aggregate's synopsis, the engine piggybacks an FM Count
+// sketch of contributing node ids -- the "(approximate) Count of the number
+// of nodes contributing" that Section 4.2 adds to every message so the base
+// station can estimate the % contributing.
 //
 // Layout (FM-synopsis aggregates, the paper's Section 7.1 path):
 //   * every node's synopsis inbox is one slot of a position-major uint32_t
-//     BankArena, so a fuse is OrWords over adjacent memory instead of a
-//     virtual-ish FmSketch::Merge through two heap vectors;
+//     BankArena, so a fuse is OrWords over adjacent memory;
 //   * the piggybacked contributing-count sketches live in a second arena,
 //     whatever the aggregate's synopsis type is (they are always FM banks);
-//   * coverage keeps ONE delivered bit per upstream edge (CSR-indexed)
-//     instead of a size-n NodeSet per node -- O(n^2) bits become O(E), and
+//   * coverage keeps ONE delivered bit per upstream edge (CSR-indexed), and
 //     the contributor set falls out of an O(n + E) reachability pass.
+// Every other aggregate (Average's two banks, Min/Max, samples, q-digests,
+// query sets, frequent items) keeps typed synopsis inboxes on the same
+// schedule.
 //
 // Epoch deltas: when the aggregate exposes SelfSynopsisKey (all registry
 // aggregates do), a node whose key is unchanged since the previous epoch
 // replays its cached self bank and skips MakeSynopsisInto entirely --
-// PR 2's FmValueMemo idea promoted from single insertions to whole nodes.
-//
-// Bit-identity contract: this engine issues the exact Deliver /
-// CountTransmission sequence of the object engine (same nodes, same order,
-// same byte counts -- BankRleBytes over the same bits), and evaluates
-// through the same FmSketch::Estimate / A::EvaluateSynopsis code, so every
-// RunResult field matches the object core bit for bit.
+// FmValueMemo's idea promoted from single insertions to whole nodes.
 #ifndef TD_CORE_SOA_MULTIPATH_H_
 #define TD_CORE_SOA_MULTIPATH_H_
 
@@ -45,12 +51,19 @@ namespace td {
 template <Aggregate A>
 class SoaMultipathAggregator {
  public:
+  struct Options {
+    /// Seed for the piggybacked contributing-count sketch.
+    uint64_t contrib_seed = 0x510c;
+    /// Keep a view of each epoch's root synopsis (see root_synopsis()).
+    bool capture_root = false;
+  };
+
   SoaMultipathAggregator(const Rings* rings, Network* network,
-                         const A* aggregate, uint64_t contrib_seed = 0x510c)
+                         const A* aggregate, Options options = {})
       : rings_(rings),
         network_(network),
         aggregate_(aggregate),
-        contrib_seed_(contrib_seed) {
+        options_(options) {
     TD_CHECK(rings != nullptr);
     TD_CHECK(network != nullptr);
     TD_CHECK(aggregate != nullptr);
@@ -69,8 +82,8 @@ class SoaMultipathAggregator {
     for (int level = rings_->max_level(); level >= 1; --level) {
       for (NodeId v : rings_->NodesAtLevel(level)) {
         if constexpr (SoaFmSynopsis<A>) {
-          // out = self | inbox in one pass over the arena slot (the object
-          // engine's MakeSynopsisInto + Fuse, as a word-wide OR).
+          // out = self | inbox in one pass over the arena slot
+          // (MakeSynopsisInto + Fuse as a word-wide OR).
           const uint32_t* self = SelfBank(v, epoch);
           const uint32_t* in = syn_inbox_.Slot(v);
           for (size_t i = 0; i < syn_words_; ++i)
@@ -81,11 +94,11 @@ class SoaMultipathAggregator {
           aggregate_->Fuse(&syn, obj_inbox_[v]);
         }
 
-        // Contrib bank: inbox copy + own-id insertion (OR commutes, so this
-        // is bit-identical to the object engine's AssignFrom + AddKey).
+        // Contrib bank: inbox copy + own-id insertion (OR commutes, so the
+        // order of the two does not matter).
         std::memcpy(out_contrib_.data(), contrib_inbox_.Slot(v),
                     contrib_words_ * sizeof(uint32_t));
-        FmSketch::AddKeyBits(v, contrib_seed_, out_contrib_.data(),
+        FmSketch::AddKeyBits(v, options_.contrib_seed, out_contrib_.data(),
                              contrib_words_);
 
         size_t bytes = OutSynopsisBytes() +
@@ -122,7 +135,7 @@ class SoaMultipathAggregator {
     contrib_eval_.Clear();
     contrib_eval_.OrBits(contrib_inbox_.Slot(base), contrib_words_);
     out.reported_contributing = contrib_eval_.Estimate();
-    if (capture_root_) {
+    if (options_.capture_root) {
       if constexpr (SoaFmSynopsis<A>) {
         root_synopsis_ = &*eval_syn_;
       } else {
@@ -136,8 +149,9 @@ class SoaMultipathAggregator {
   /// self synopsis does not depend on topology).
   void OnTopologyChanged() { csr_valid_ = false; }
 
-  /// Keeps a view of each epoch's fused root synopsis for window consumers.
-  void EnableRootCapture() { capture_root_ = true; }
+  /// The last RunEpoch's fused root synopsis (points into the epoch
+  /// scratch), or nullptr before the first captured epoch (or without
+  /// Options::capture_root). Valid until the next RunEpoch.
   const typename A::Synopsis* root_synopsis() const { return root_synopsis_; }
 
   /// Cumulative count of self-synopsis recomputes (delta-cache misses);
@@ -150,8 +164,8 @@ class SoaMultipathAggregator {
 
  private:
   /// Self bank for FM-synopsis aggregates: replayed from the arena cache
-  /// when the delta key is unchanged, recomputed (via the aggregate's own
-  /// MakeSynopsisInto, so memo behavior matches the object engine) on miss.
+  /// when the delta key is unchanged, recomputed via the aggregate's own
+  /// MakeSynopsisInto (and its memos) on miss.
   const uint32_t* SelfBank(NodeId v, uint32_t epoch)
     requires SoaFmSynopsis<A>
   {
@@ -201,8 +215,8 @@ class SoaMultipathAggregator {
     }
   }
 
-  /// Replaces the object engine's per-inbox covered NodeSets: a node
-  /// contributed iff some delivered upstream edge chain reaches the base.
+  /// A node contributed iff some delivered upstream edge chain reaches the
+  /// base.
   /// Every upstream edge lands exactly one ring closer to the base, so one
   /// ascending-level pass settles reachability. Returns the count.
   size_t ComputeContributors(NodeId base) {
@@ -235,7 +249,8 @@ class SoaMultipathAggregator {
       scratch_syn_.emplace(aggregate_->EmptySynopsis());
       contrib_words_ = static_cast<size_t>(FmSketch::kDefaultBitmaps);
       out_contrib_.assign(contrib_words_, 0);
-      contrib_eval_ = FmSketch(FmSketch::kDefaultBitmaps, contrib_seed_);
+      contrib_eval_ =
+          FmSketch(FmSketch::kDefaultBitmaps, options_.contrib_seed);
       contributors_ = NodeSet(n);
       if constexpr (SoaFmSynopsis<A>) {
         eval_syn_.emplace(aggregate_->EmptySynopsis());
@@ -271,7 +286,7 @@ class SoaMultipathAggregator {
   const Rings* rings_;
   Network* network_;
   const A* aggregate_;
-  uint64_t contrib_seed_;
+  Options options_;
 
   UpstreamCsr csr_;
   bool csr_valid_ = false;
@@ -301,7 +316,6 @@ class SoaMultipathAggregator {
   std::optional<typename A::Synopsis> scratch_syn_;
   ScratchStats scratch_stats_;
   uint64_t nodes_reprocessed_ = 0;
-  bool capture_root_ = false;
   const typename A::Synopsis* root_synopsis_ = nullptr;
 };
 

@@ -1,6 +1,30 @@
-// Structure-of-arrays twin of TributaryDeltaAggregator (src/td/): the same
-// level-by-level T/M sweep, adaptation loop, and feedback math, restated
-// over flat epoch state.
+// The Tributary-Delta aggregation engine (Sections 3-4).
+//
+// One epoch proceeds level-by-level (ring levels, highest first; thanks to
+// the Section 4.1 constraint, tree children sit exactly one ring level below
+// their parent, so a single schedule serves both modes):
+//
+//   * a T node merges its reading with child partials (Algorithm-1-style
+//     finalization hook included) and unicasts the partial to its tree
+//     parent -- which may be a T node (plain tree aggregation) or an M node
+//     (the tributary feeding the delta, converted on receipt);
+//   * an M node fuses its own synopsis, the synopses heard from downstream
+//     M nodes, and the *converted* tree partials received from its T
+//     children, then broadcasts to all upstream M neighbors;
+//   * the base station combines exact tree partials that reached it
+//     directly with the fused delta synopsis (EvaluateCombined), so at low
+//     loss much of the answer is exact.
+//
+// Piggybacked alongside the payload (and charged to message size):
+//   * contributing counts -- exact integers in tributaries, an FM Count
+//     sketch in the delta (tree counts convert via AddValue just like the
+//     Count aggregate);
+//   * for the TD strategy, the max/min over frontier nodes' "subtree nodes
+//     not contributing", fused duplicate-insensitively (max/min are
+//     trivially so).
+//
+// Every `period` epochs (stretched by the oscillation damper) the base
+// station runs the adaptation policy on this feedback.
 //
 // Layout: the delta-side synopsis inboxes live in a BankArena when the
 // aggregate's synopsis is a raw FM bank (Count, Sum, UniqueCount); the
@@ -13,15 +37,10 @@
 //
 // Tributary-to-delta conversion goes through the aggregate's own
 // FuseConverted into a cleared scratch sketch, then ORs the scratch into
-// the arena slot -- OR commutes, so this is bit-identical to fusing into
-// the inbox object directly, and the convert memos see the same calls.
-// The contributing-count conversion uses FmValueMemo::AddValueTo straight
-// into the arena.
-//
-// Bit-identity contract: identical Deliver / DeliverWithRetries /
-// CountTransmission sequence and byte counts, identical feedback and
-// adaptation arithmetic, so RunResult and the adaptation trace match the
-// object core bit for bit.
+// the arena slot -- OR commutes, so this equals fusing into the inbox
+// directly, and the convert memos see the same calls. The
+// contributing-count conversion uses FmValueMemo::AddValueTo straight into
+// the arena.
 #ifndef TD_CORE_SOA_TD_H_
 #define TD_CORE_SOA_TD_H_
 
@@ -55,15 +74,21 @@ class SoaTributaryDeltaAggregator {
  public:
   struct Options {
     AdaptationConfig adaptation;
+    /// Extra tree retransmissions (Figure 9(b)).
     int tree_extra_retransmissions = 0;
+    /// Seed for the piggybacked contributing-count sketch.
     uint64_t contrib_seed = 0x510c;
+    /// Total sensor population the base station divides by to obtain the
+    /// contributing fraction; 0 means "use the number of in-tree sensors".
     size_t sensor_population = 0;
+    /// Keep each epoch's root state (see root_partial / root_synopsis).
+    bool capture_root = false;
   };
 
   struct Stats {
     size_t expansions = 0;
     size_t shrinks = 0;
-    size_t decisions = 0;
+    size_t decisions = 0;  // includes rounds that changed nothing
   };
 
   SoaTributaryDeltaAggregator(const Tree* tree, const Rings* rings,
@@ -87,19 +112,21 @@ class SoaTributaryDeltaAggregator {
     subtree_size_ = tree->ComputeSubtreeSizes();
     population_ = options_.sensor_population != 0
                       ? options_.sensor_population
-                      : tree->num_in_tree() - 1;
+                      : tree->num_in_tree() - 1;  // sensors exclude the base
     TD_CHECK_GT(population_, 0u);
   }
 
   using Outcome = EpochOutcome<typename A::Result>;
 
+  /// Runs one aggregation epoch, then (when the damper allows) one
+  /// adaptation decision based on that epoch's feedback.
   Outcome RunEpoch(uint32_t epoch) {
     Outcome out = RunAggregation(epoch);
     if (damper_.ShouldAdapt(epoch)) {
       TD_PROFILE_SCOPE(obs::Phase::kAdapt);
       AdaptationConfig cfg = options_.adaptation;
       if (damper_.ShrinkSuppressed(epoch)) {
-        cfg.shrink_margin = 2.0;
+        cfg.shrink_margin = 2.0;  // contributing fraction can never exceed it
       }
       AdaptAction action = policy_->Adapt(last_feedback_, cfg, &region_);
       damper_.Record(epoch, action);
@@ -107,13 +134,24 @@ class SoaTributaryDeltaAggregator {
       if (action == AdaptAction::kExpand) ++stats_.expansions;
       if (action == AdaptAction::kShrink) ++stats_.shrinks;
       if (action != AdaptAction::kNone) {
+        // The switch command is a small broadcast from the base station;
+        // charge its energy (delivery of control traffic is assumed
+        // reliable -- see DESIGN.md).
         network_->CountTransmission(rings_->base(), 8);
       }
     }
     return out;
   }
 
-  /// Same churn reaction as the object engine, plus a CSR rebuild.
+  /// Reacts to an in-place tree/rings repair (churn): re-derives the
+  /// subtree sizes the frontier "missing" reports divide over, resyncs the
+  /// region labelling to the surviving topology, re-bases the contributing
+  /// threshold on the live population, resets the oscillation damper and
+  /// feedback medians -- observations from the pre-repair network should
+  /// neither delay nor bias the first post-repair decision -- and drops
+  /// the cached CSR adjacency. This is what lets the delta shrink back
+  /// after nodes rejoin instead of staying saturated at the size the
+  /// outage forced.
   void OnTopologyChanged() {
     subtree_size_ = tree_->ComputeSubtreeSizes();
     region_.Resync();
@@ -128,7 +166,10 @@ class SoaTributaryDeltaAggregator {
     csr_valid_ = false;
   }
 
-  void EnableRootCapture() { capture_root_ = true; }
+  /// The last RunEpoch's root state (exact tributary partial + fused delta
+  /// synopsis), or nullptr before the first captured epoch (or without
+  /// Options::capture_root). The synopsis points into the epoch scratch;
+  /// both are valid until the next RunEpoch.
   const typename A::TreePartial* root_partial() const {
     return root_partial_ ? &*root_partial_ : nullptr;
   }
@@ -196,7 +237,7 @@ class SoaTributaryDeltaAggregator {
     contrib_eval_.OrBits(contrib_inbox_.Slot(base), contrib_words_);
     out.reported_contributing =
         static_cast<double>(tree_count_[base]) + contrib_eval_.Estimate();
-    if (capture_root_) {
+    if (options_.capture_root) {
       root_partial_ = std::move(base_partial);
       if constexpr (SoaFmSynopsis<A>) {
         root_synopsis_ = &*eval_syn_;
@@ -251,8 +292,8 @@ class SoaTributaryDeltaAggregator {
       tree_count_[p] += contributing;
     } else {
       // Conversion on receipt: FuseConverted into a cleared scratch, OR the
-      // scratch into the slot (== fusing into the inbox object; OR
-      // commutes), count converted via the memo straight into the arena.
+      // scratch into the slot (== fusing into the inbox; OR commutes),
+      // count converted via the memo straight into the arena.
       FuseConvertedInto(p, partial);
       contrib_memo_.AddValueTo(contrib_inbox_.Slot(p), contrib_words_, v,
                                contributing);
@@ -402,7 +443,7 @@ class SoaTributaryDeltaAggregator {
   /// tributary node's single parent unicast, a delta node's broadcast
   /// edges. Every hop lands one ring closer to the base (the Section 4.1
   /// constraint covers tree parents), so one ascending-level pass settles
-  /// it. Bit-identical to the object engine's covered-NodeSet flow.
+  /// it.
   size_t ComputeContributors(NodeId base) {
     contributors_.Clear();
     size_t contributing = 0;
@@ -538,7 +579,6 @@ class SoaTributaryDeltaAggregator {
   std::vector<double> pct_history_;
   std::vector<double> pct_raw_history_;
   uint64_t nodes_reprocessed_ = 0;
-  bool capture_root_ = false;
   std::optional<typename A::TreePartial> root_partial_;
   const typename A::Synopsis* root_synopsis_ = nullptr;
 };

@@ -22,7 +22,7 @@ namespace td {
 ///   * Fuse(into, from) == bitwise OR of the banks (FmSketch::Merge), and
 ///   * SynopsisBytes(s) == s.EncodedBytes() == BankRleBytes(bank).
 /// Aggregates with composite synopses (Average's two banks, samples, query
-/// sets) take the generic object-synopsis path instead.
+/// sets) take the generic typed-synopsis path instead.
 template <typename A>
 concept SoaFmSynopsis =
     Aggregate<A> && std::same_as<typename A::Synopsis, FmSketch>;

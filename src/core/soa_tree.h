@@ -1,22 +1,20 @@
-// Structure-of-arrays twin of TreeAggregator (src/agg/): the same TAG
-// sweep, with the three per-node object arrays replaced by flat state.
+// TAG-style tree aggregation engine [10] (Section 2, "Tree-Based").
 //
-// Tree partials stay typed objects (they are tiny PODs for the registry
-// aggregates and carry no bank to arena-ize), but the two members that
-// scale quadratically or allocate per epoch are flattened:
-//   * coverage is ONE delivered bit per node (each node unicasts to exactly
-//     one parent) plus a reverse-topological reachability pass, replacing
-//     the per-inbox NodeSets' O(n^2) bits;
-//   * the children-first schedule is computed once and cached; the object
-//     engine rebuilds the vector every epoch. OnTopologyChanged drops it.
+// In-network aggregation proceeds level-by-level from the leaves: each node
+// merges its children's partial results into its own reading, finalizes
+// (aggregates with per-node behavior hook in here), and unicasts the
+// partial to its parent. A lost message drops the entire subtree from the
+// answer -- the severe robustness problem Tributary-Delta exists to fix.
+//
+// Layout. Tree partials stay typed objects (they are tiny PODs for the
+// registry aggregates and carry no bank to arena-ize). Coverage is ONE
+// delivered bit per node (each node unicasts to exactly one parent) plus a
+// reverse-topological reachability pass, and the children-first schedule
+// is computed once and cached until OnTopologyChanged.
 //
 // Epoch deltas: when the aggregate exposes SelfSynopsisKey, a node whose
 // key is unchanged replays its cached MakeTreePartialInto result (the self
 // partial BEFORE child merges, which is the pure-function part).
-//
-// Bit-identity contract: identical DeliverWithRetries sequence and byte
-// counts, identical merge/finalize/evaluate calls, so results match the
-// object core bit for bit.
 #ifndef TD_CORE_SOA_TREE_H_
 #define TD_CORE_SOA_TREE_H_
 
@@ -39,7 +37,11 @@ template <Aggregate A>
 class SoaTreeAggregator {
  public:
   struct Options {
+    /// Extra transmission attempts after a loss (Figure 9(b) lets tree
+    /// nodes retransmit twice: extra_retransmissions = 2).
     int extra_retransmissions = 0;
+    /// Keep each epoch's root partial (see root_partial()); off by default.
+    bool capture_root = false;
   };
 
   SoaTreeAggregator(const Tree* tree, Network* network, const A* aggregate,
@@ -91,14 +93,19 @@ class SoaTreeAggregator {
     out.true_contributing = ComputeContributors(root);
     out.contributors = contributors_;
     out.reported_contributing = static_cast<double>(inbox_count_[root]);
-    if (capture_root_) root_partial_ = std::move(final_partial);
+    // Base-station bookkeeping for window and federation consumers: the
+    // root partial is kept, never retransmitted, so capture adds zero radio
+    // bytes and leaves the epoch's deliveries untouched.
+    if (options_.capture_root) root_partial_ = std::move(final_partial);
     return out;
   }
 
   /// Drops the cached children-first schedule; delta caches stay valid.
   void OnTopologyChanged() { topo_valid_ = false; }
 
-  void EnableRootCapture() { capture_root_ = true; }
+  /// The last RunEpoch's root partial, or nullptr before the first
+  /// captured epoch (or without Options::capture_root). Valid until the
+  /// next RunEpoch.
   const typename A::TreePartial* root_partial() const {
     return root_partial_ ? &*root_partial_ : nullptr;
   }
@@ -188,7 +195,6 @@ class SoaTreeAggregator {
   std::optional<typename A::TreePartial> empty_partial_;
   std::optional<typename A::TreePartial> scratch_partial_;
   uint64_t nodes_reprocessed_ = 0;
-  bool capture_root_ = false;
   std::optional<typename A::TreePartial> root_partial_;
 };
 

@@ -142,7 +142,9 @@ FederatedExperiment FederatedExperiment::Builder::Build() {
   FederatedExperiment exp;
 
   // Global scenario.
-  TD_CHECK(scenario_source_ != ScenarioSource::kNone);
+  TD_CHECK_MSG(scenario_source_ != ScenarioSource::kNone,
+               "no scenario: call Synthetic(seed), Lab(seed) or "
+               "Scenario(&scenario) before Build()");
   switch (scenario_source_) {
     case ScenarioSource::kExternal:
       exp.global_ = external_scenario_;

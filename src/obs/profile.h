@@ -13,7 +13,7 @@
 namespace td::obs {
 
 enum class Phase : uint8_t {
-  kSweep = 0,      // engine level sweep (tree / ring / TD, object + SoA)
+  kSweep = 0,      // engine level sweep (tree / ring / TD)
   kAdapt,          // TD shrink/expand decision + switch broadcast
   kRleEncode,      // bank RLE encoding (sketch/rle)
   kWindowCombine,  // two-stacks / hopping window combining at the base

@@ -99,9 +99,9 @@ class QDigestAggregate {
   size_t TreeBytes(const TreePartial& p) const { return WireBytes(p); }
   size_t SynopsisBytes(const Synopsis& s) const { return WireBytes(s); }
 
-  /// Epoch-delta identity for the SoA core: the self digest is a pure
+  /// Epoch-delta identity for the engine core: the self digest is a pure
   /// function of (node, reading), so an unchanged reading replays the
-  /// cached self state through the object-inbox fallback path.
+  /// cached self state through the engines' typed-synopsis path.
   uint64_t SelfSynopsisKey(NodeId node, uint32_t epoch) const {
     return reading_(node, epoch);
   }

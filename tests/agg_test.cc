@@ -7,8 +7,8 @@
 #include <memory>
 
 #include "agg/aggregates.h"
-#include "agg/multipath_aggregator.h"
-#include "agg/tree_aggregator.h"
+#include "core/soa_multipath.h"
+#include "core/soa_tree.h"
 #include "net/network.h"
 #include "util/stats.h"
 #include "workload/scenario.h"
@@ -192,13 +192,13 @@ TEST(UniformSampleAggregateTest, QuantileFromSample) {
   EXPECT_NEAR(s.EstimateQuantile(0.5), 500.0, 150.0);
 }
 
-// -------------------------------------------------------- TreeAggregator
+// ----------------------------------------------------- SoaTreeAggregator
 
 TEST(TreeAggregatorTest, LosslessCountIsExact) {
   Scenario sc = MakeSyntheticScenario(5, 150);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  TreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
   auto out = engine.RunEpoch(0);
   // Exact over every sensor the base station can reach.
   size_t reachable = sc.tree.num_in_tree() - 1;
@@ -211,7 +211,7 @@ TEST(TreeAggregatorTest, LosslessSumIsExact) {
   Scenario sc = MakeSyntheticScenario(6, 150);
   TestNet tn(&sc, 0.0);
   SumAggregate agg(IdReading);
-  TreeAggregator<SumAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTreeAggregator<SumAggregate> engine(&sc.tree, &tn.network, &agg);
   double expected = 0;
   for (NodeId v = 1; v < sc.deployment.size(); ++v) {
     if (sc.tree.InTree(v)) expected += v;
@@ -223,7 +223,7 @@ TEST(TreeAggregatorTest, FullLossLosesEverything) {
   Scenario sc = MakeSyntheticScenario(7, 100);
   TestNet tn(&sc, 1.0);
   CountAggregate agg;
-  TreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
   auto out = engine.RunEpoch(0);
   EXPECT_DOUBLE_EQ(out.result, 0.0);
   EXPECT_EQ(out.true_contributing, 0u);
@@ -233,7 +233,7 @@ TEST(TreeAggregatorTest, LossDropsSubtrees) {
   Scenario sc = MakeSyntheticScenario(8, 300);
   TestNet tn(&sc, 0.25);
   CountAggregate agg;
-  TreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
   RunningStat contrib;
   for (uint32_t e = 0; e < 30; ++e) {
     auto out = engine.RunEpoch(e);
@@ -251,7 +251,7 @@ TEST(TreeAggregatorTest, OneTransmissionPerNodePerEpoch) {
   Scenario sc = MakeSyntheticScenario(9, 120);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  TreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
   engine.RunEpoch(0);
   EXPECT_EQ(tn.network.total_energy().transmissions,
             sc.tree.num_in_tree() - 1);
@@ -261,11 +261,11 @@ TEST(TreeAggregatorTest, RetransmissionsRecoverLosses) {
   Scenario sc = MakeSyntheticScenario(10, 200);
   CountAggregate agg;
   TestNet tn1(&sc, 0.3, 42);
-  TreeAggregator<CountAggregate> plain(&sc.tree, &tn1.network, &agg);
+  SoaTreeAggregator<CountAggregate> plain(&sc.tree, &tn1.network, &agg);
   TestNet tn2(&sc, 0.3, 42);
-  TreeAggregator<CountAggregate> retry(
+  SoaTreeAggregator<CountAggregate> retry(
       &sc.tree, &tn2.network, &agg,
-      TreeAggregator<CountAggregate>::Options{.extra_retransmissions = 2});
+      SoaTreeAggregator<CountAggregate>::Options{.extra_retransmissions = 2});
   double plain_sum = 0, retry_sum = 0;
   for (uint32_t e = 0; e < 20; ++e) {
     plain_sum += plain.RunEpoch(e).result;
@@ -274,13 +274,13 @@ TEST(TreeAggregatorTest, RetransmissionsRecoverLosses) {
   EXPECT_GT(retry_sum, plain_sum * 1.3);
 }
 
-// --------------------------------------------------- MultipathAggregator
+// ------------------------------------------------ SoaMultipathAggregator
 
 TEST(MultipathAggregatorTest, LosslessCountNearExact) {
   Scenario sc = MakeSyntheticScenario(11, 300);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  MultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
+  SoaMultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
   auto out = engine.RunEpoch(0);
   size_t reachable = sc.rings.num_reachable() - 1;
   EXPECT_EQ(out.true_contributing, reachable);
@@ -294,7 +294,7 @@ TEST(MultipathAggregatorTest, RobustUnderHeavyLoss) {
   Scenario sc = MakeSyntheticScenario(12, 600);
   TestNet tn(&sc, 0.3);
   CountAggregate agg;
-  MultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
+  SoaMultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
   RunningStat contrib;
   for (uint32_t e = 0; e < 20; ++e) {
     contrib.Add(static_cast<double>(engine.RunEpoch(e).true_contributing));
@@ -306,7 +306,7 @@ TEST(MultipathAggregatorTest, OneBroadcastPerNodePerEpoch) {
   Scenario sc = MakeSyntheticScenario(13, 150);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  MultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
+  SoaMultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
   engine.RunEpoch(0);
   EXPECT_EQ(tn.network.total_energy().transmissions,
             sc.rings.num_reachable() - 1);
@@ -322,10 +322,10 @@ TEST(MultipathAggregatorTest, TreeBeatsMultipathAtZeroLossAndViceVersa) {
     TestNet tn(&sc, loss, 1234);
     std::vector<double> est;
     if (tree) {
-      TreeAggregator<CountAggregate> e(&sc.tree, &tn.network, &agg);
+      SoaTreeAggregator<CountAggregate> e(&sc.tree, &tn.network, &agg);
       for (uint32_t t = 0; t < 25; ++t) est.push_back(e.RunEpoch(t).result);
     } else {
-      MultipathAggregator<CountAggregate> e(&sc.rings, &tn.network, &agg);
+      SoaMultipathAggregator<CountAggregate> e(&sc.rings, &tn.network, &agg);
       for (uint32_t t = 0; t < 25; ++t) est.push_back(e.RunEpoch(t).result);
     }
     return RelativeRmsError(est, truth);

@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "agg/aggregates.h"
-#include "agg/multipath_aggregator.h"
-#include "agg/tree_aggregator.h"
 #include "api/experiment.h"
+#include "core/soa_multipath.h"
+#include "core/soa_td.h"
+#include "core/soa_tree.h"
 #include "net/network.h"
-#include "td/tributary_delta_aggregator.h"
 #include "workload/labdata.h"
 #include "workload/scenario.h"
 
@@ -51,19 +51,19 @@ std::vector<GoldenRow> RunDirect(Strategy strategy, const Scenario& sc,
   };
   switch (strategy) {
     case Strategy::kTag: {
-      TreeAggregator<A> eng(&sc.tree, &net, &agg);
+      SoaTreeAggregator<A> eng(&sc.tree, &net, &agg);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kTagRetx: {
-      TreeAggregator<A> eng(
+      SoaTreeAggregator<A> eng(
           &sc.tree, &net, &agg,
-          typename TreeAggregator<A>::Options{.extra_retransmissions = 2});
+          typename SoaTreeAggregator<A>::Options{.extra_retransmissions = 2});
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kSynopsisDiffusion: {
-      MultipathAggregator<A> eng(&sc.rings, &net, &agg);
+      SoaMultipathAggregator<A> eng(&sc.rings, &net, &agg);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
@@ -75,8 +75,8 @@ std::vector<GoldenRow> RunDirect(Strategy strategy, const Scenario& sc,
       } else {
         policy = std::make_unique<TdFinePolicy>();
       }
-      TributaryDeltaAggregator<A> eng(&sc.tree, &sc.rings, &net, &agg,
-                                      std::move(policy));
+      SoaTributaryDeltaAggregator<A> eng(&sc.tree, &sc.rings, &net, &agg,
+                                         std::move(policy));
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
@@ -400,10 +400,9 @@ TEST(ExperimentTest, SharedNetworkDrivesMultipleEngines) {
             2 * (sc.tree.num_in_tree() - 1));
 }
 
-// The facade-level CaptureRootState switch must behave exactly like the
-// deprecated per-engine EnableRootCapture call it replaces: same sides
-// populated, zero extra radio traffic either way.
-TEST(ExperimentTest, CaptureRootStateMatchesDeprecatedEnableRootCapture) {
+// CaptureRootState populates exactly the strategy's root sides at zero
+// extra radio traffic; without it no state is captured.
+TEST(ExperimentTest, CaptureRootStatePopulatesStrategySides) {
   for (Strategy s : kAllStrategies) {
     auto builder = [&] {
       Experiment::Builder b;
@@ -415,21 +414,18 @@ TEST(ExperimentTest, CaptureRootStateMatchesDeprecatedEnableRootCapture) {
           .Epochs(1);
       return b;
     };
-    Experiment via_builder = builder().CaptureRootState().Build();
-    Experiment via_shim = builder().Build();
-    via_shim.engine().EnableRootCapture();  // deprecated path
-    EpochResult ra = via_builder.StepEpoch(0);
-    EpochResult rb = via_shim.StepEpoch(0);
-    EXPECT_EQ(ra.value, rb.value);
-    RootState sa = via_builder.engine().root_state();
-    RootState sb = via_shim.engine().root_state();
-    EXPECT_EQ(sa.tree_partial != nullptr, sb.tree_partial != nullptr);
-    EXPECT_EQ(sa.synopsis != nullptr, sb.synopsis != nullptr);
-    EXPECT_TRUE(sa.tree_partial != nullptr || sa.synopsis != nullptr);
-    // Without either switch no state is captured.
+    Experiment on = builder().CaptureRootState().Build();
     Experiment off = builder().Build();
-    off.StepEpoch(0);
-    RootState so = off.engine().root_state();
+    EpochResult ra = on.StepEpoch(0);
+    EpochResult rb = off.StepEpoch(0);
+    EXPECT_EQ(ra.value, rb.value);
+    EXPECT_EQ(on.network().total_energy().bytes,
+              off.network().total_energy().bytes);
+    const RootState sa = on.engine().root_state();
+    const WindowSides sides = RootStateSides(s);
+    EXPECT_EQ(sa.tree_partial != nullptr, sides.tree);
+    EXPECT_EQ(sa.synopsis != nullptr, sides.synopsis);
+    const RootState so = off.engine().root_state();
     EXPECT_EQ(so.tree_partial, nullptr);
     EXPECT_EQ(so.synopsis, nullptr);
   }
@@ -456,6 +452,24 @@ TEST(ExperimentTest, StrategyAndRegionAccessors) {
   EXPECT_EQ(td_exp.engine().delta_size(), 1u);  // base-only delta initially
   td_exp.engine().mutable_region()->ExpandAll();
   EXPECT_GT(td_exp.engine().delta_size(), 1u);
+}
+
+// Bare builder checks name what to call.
+TEST(ExperimentDeathTest, MissingScenarioDies) {
+  EXPECT_DEATH(Experiment::Builder()
+                   .Aggregate(AggregateKind::kCount)
+                   .Epochs(1)
+                   .Build(),
+               "no scenario: call Synthetic");
+}
+
+TEST(ExperimentDeathTest, FrequentItemsWithoutItemsDies) {
+  EXPECT_DEATH(Experiment::Builder()
+                   .Synthetic(42, 64)
+                   .Aggregate(AggregateKind::kFrequentItems)
+                   .Epochs(1)
+                   .Build(),
+               "call Items");
 }
 
 }  // namespace

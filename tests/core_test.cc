@@ -1,23 +1,27 @@
-// Tests for the SoA engine core (src/core/) and its backend-selection
-// facade surface. The load-bearing pins:
+// Tests for the engine core (src/core/). The load-bearing pins:
 //
-//   * bit-identity: Core(kSoa) reproduces Core(kObject) EXACTLY -- every
-//     epoch value, contributor count, reported count, byte/energy tally,
-//     adaptation counter, windowed series -- across all five strategies,
-//     the registry aggregates, query sets and dynamics. The SoA engines
-//     issue the identical Deliver/CountTransmission sequence against the
-//     shared network RNG, so any drift shows up as a hard mismatch here.
-//   * epoch deltas: unchanged readings replay cached self banks (the
-//     nodes_reprocessed_per_epoch observability), without perturbing
-//     results relative to full recompute.
-//   * determinism: Threads(1) == Threads(8) RunTrials on the SoA core.
-//   * rejection: Core(kSoa) + kFrequentItems dies with a useful message.
+//   * golden: every cell of tests/golden_engines.h -- all five strategies
+//     x every registry aggregate (frequent items and the q-digest kinds
+//     included) x three network seeds, plus query-set/window/group-by,
+//     dynamics and link-layer cells -- reproduces the line the deleted
+//     per-node-object engines wrote into tests/golden/engines.txt: every
+//     epoch's answer bits and radio bytes, the energy totals, adaptation
+//     counters and digests of the per-query, windowed, grouped and
+//     frequent-items series.
+//   * epoch deltas: unchanged readings replay cached self state (the
+//     nodes_reprocessed_per_epoch observability) without perturbing
+//     results relative to a full recompute.
+//   * determinism: Threads(1) == Threads(8) RunTrials.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <fstream>
+#include <map>
+#include <regex>
+#include <string>
 #include <vector>
 
 #include "api/experiment.h"
+#include "golden_engines.h"
 #include "workload/scenario.h"
 
 namespace td {
@@ -39,7 +43,8 @@ uint64_t SparselyChangingReading(NodeId node, uint32_t epoch) {
 }
 
 // Full bitwise comparison of two runs. EXPECT_EQ on doubles is exact
-// equality -- that is the point: the cores must not differ in the last ulp.
+// equality -- that is the point: the runs must not differ in the last ulp.
+// Per-query series are compared by the caller when both runs have them.
 void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   for (size_t i = 0; i < a.epochs.size(); ++i) {
@@ -48,10 +53,6 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
         << "epoch " << i;
     EXPECT_EQ(a.epochs[i].reported_contributing,
               b.epochs[i].reported_contributing)
-        << "epoch " << i;
-    EXPECT_EQ(a.epochs[i].query_values, b.epochs[i].query_values)
-        << "epoch " << i;
-    EXPECT_EQ(a.epochs[i].windowed_values, b.epochs[i].windowed_values)
         << "epoch " << i;
   }
   EXPECT_EQ(a.rms, b.rms);
@@ -66,14 +67,6 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.stats.shrinks, b.stats.shrinks);
   EXPECT_EQ(a.stats.decisions, b.stats.decisions);
   EXPECT_EQ(a.topology_repairs, b.topology_repairs);
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (size_t i = 0; i < a.queries.size(); ++i) {
-    EXPECT_EQ(a.queries[i].estimates, b.queries[i].estimates);
-    EXPECT_EQ(a.queries[i].rms, b.queries[i].rms);
-    EXPECT_EQ(a.queries[i].windowed_estimates,
-              b.queries[i].windowed_estimates);
-    EXPECT_EQ(a.queries[i].windowed_rms, b.queries[i].windowed_rms);
-  }
 }
 
 Experiment::Builder BaseBuilder(td::Strategy strategy, AggregateKind kind) {
@@ -104,98 +97,106 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, CoreStrategyTest,
                            return "Unknown";
                          });
 
-TEST_P(CoreStrategyTest, SoaBitIdenticalToObjectAcrossRegistryAggregates) {
-  const AggregateKind kinds[] = {
-      AggregateKind::kCount,  AggregateKind::kSum,
-      AggregateKind::kAvg,    AggregateKind::kMin,
-      AggregateKind::kMax,    AggregateKind::kUniqueCount,
-      AggregateKind::kQuantile};
-  for (AggregateKind kind : kinds) {
-    RunResult obj =
-        BaseBuilder(GetParam(), kind).Core(EngineCore::kObject).Run();
-    RunResult soa = BaseBuilder(GetParam(), kind).Core(EngineCore::kSoa).Run();
-    SCOPED_TRACE(AggregateKindName(kind));
-    EXPECT_EQ(obj.core, EngineCore::kObject);
-    EXPECT_EQ(soa.core, EngineCore::kSoa);
-    ExpectBitIdentical(obj, soa);
+// ------------------------------------------------------------- golden --
+
+struct GoldenFile {
+  std::vector<std::string> header;
+  std::map<std::string, std::string> lines;  // cell name -> full line
+};
+
+const GoldenFile& Golden() {
+  static const GoldenFile* file = [] {
+    auto* f = new GoldenFile();
+    std::ifstream in(TD_GOLDEN_FILE);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      if (line[0] == '#') {
+        f->header.push_back(line);
+        continue;
+      }
+      f->lines[line.substr(0, line.find(' '))] = line;
+    }
+    return f;
+  }();
+  return *file;
+}
+
+TEST(GoldenFileTest, HeaderNamesTheCommitItWasGeneratedFrom) {
+  const GoldenFile& g = Golden();
+  ASSERT_FALSE(g.lines.empty()) << "cannot read " << TD_GOLDEN_FILE;
+  bool named = false;
+  for (const std::string& h : g.header) {
+    named |= std::regex_search(h, std::regex("at git [0-9a-f]{12,40}\\."));
+  }
+  EXPECT_TRUE(named);
+}
+
+TEST(GoldenFileTest, EveryCellIsPinned) {
+  const std::vector<golden::Cell> cells = golden::Cells();
+  EXPECT_EQ(cells.size(), Golden().lines.size());
+  for (const golden::Cell& cell : cells) {
+    EXPECT_EQ(Golden().lines.count(cell.name), 1u) << cell.name;
   }
 }
 
-TEST_P(CoreStrategyTest, SoaBitIdenticalOnQuerySetsAndWindows) {
-  auto make = [&](EngineCore core) {
-    Query count;
-    count.kind = AggregateKind::kCount;
-    Query sum;
-    sum.kind = AggregateKind::kSum;
-    sum.window = WindowSpec::Sliding(5);
-    Query avg;
-    avg.kind = AggregateKind::kAvg;
-    return Experiment::Builder()
-        .Synthetic(/*seed=*/9, /*num_sensors=*/256)
-        .AddQuery(count)
-        .AddQuery(sum)
-        .AddQuery(avg)
-        .Reading(IdReading)
-        .Strategy(GetParam())
-        .Core(core)
-        .GlobalLossRate(0.15)
-        .NetworkSeed(13)
-        .Warmup(3)
-        .Epochs(10)
-        .Run();
-  };
-  ExpectBitIdentical(make(EngineCore::kObject), make(EngineCore::kSoa));
+TEST_P(CoreStrategyTest, MatchesGoldenFile) {
+  const std::string prefix = std::string(StrategyName(GetParam())) + "/";
+  size_t checked = 0;
+  for (const golden::Cell& cell : golden::Cells()) {
+    if (cell.name.rfind(prefix, 0) != 0) continue;
+    auto it = Golden().lines.find(cell.name);
+    ASSERT_NE(it, Golden().lines.end()) << cell.name;
+    EXPECT_EQ(golden::Render(cell), it->second);
+    ++checked;
+  }
+  // 12 registry kinds x 3 seeds + query set + dynamics + link layer.
+  EXPECT_EQ(checked, 39u);
 }
 
-TEST_P(CoreStrategyTest, SoaBitIdenticalUnderDynamics) {
-  auto make = [&](EngineCore core) {
-    DynamicsConfig config;
-    config.churn = ChurnConfig{
-        .fail_rate = 0.03, .mean_downtime = 6.0, .max_dead_fraction = 0.3};
-    return BaseBuilder(GetParam(), AggregateKind::kSum)
-        .Dynamics(config)
-        .Core(core)
-        .Run();
-  };
-  RunResult obj = make(EngineCore::kObject);
-  RunResult soa = make(EngineCore::kSoa);
-  EXPECT_GT(soa.topology_repairs, 0u);
-  ExpectBitIdentical(obj, soa);
-}
+// -------------------------------------------------------- epoch deltas --
 
-// Delta path: replaying cached banks for unchanged readings must not change
-// anything relative to the full recompute the object core always does.
+// Replaying cached self state for unchanged readings must not change
+// anything relative to a full recompute. The one-query-set path carries no
+// SelfSynopsisKey, so it recomputes every node every epoch; the lowered
+// Aggregate(kind) path replays.
 TEST_P(CoreStrategyTest, EpochDeltaReplayMatchesFullRecompute) {
-  auto make = [&](EngineCore core) {
-    return BaseBuilder(GetParam(), AggregateKind::kSum)
-        .Reading(SparselyChangingReading)
-        .Core(core)
-        .Run();
-  };
-  ExpectBitIdentical(make(EngineCore::kObject), make(EngineCore::kSoa));
+  for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg,
+                             AggregateKind::kQuantileQd}) {
+    SCOPED_TRACE(AggregateKindName(kind));
+    RunResult replayed = BaseBuilder(GetParam(), kind)
+                             .Reading(SparselyChangingReading)
+                             .Run();
+    RunResult recomputed = Experiment::Builder()
+                               .Synthetic(/*seed=*/7, /*num_sensors=*/300)
+                               .AddQuery(golden::QueryOf(kind))
+                               .Reading(SparselyChangingReading)
+                               .Strategy(GetParam())
+                               .GlobalLossRate(0.2)
+                               .NetworkSeed(11)
+                               .Warmup(4)
+                               .Epochs(12)
+                               .Run();
+    ExpectBitIdentical(replayed, recomputed);
+    ASSERT_EQ(replayed.queries.size(), 1u);
+    ASSERT_EQ(recomputed.queries.size(), 1u);
+    EXPECT_EQ(replayed.queries[0].estimates, recomputed.queries[0].estimates);
+    EXPECT_LT(replayed.nodes_reprocessed_per_epoch,
+              recomputed.nodes_reprocessed_per_epoch);
+  }
 }
 
 TEST(CoreDeltaTest, ConstantReadingsReplayEverything) {
   RunResult r = BaseBuilder(Strategy::kSynopsisDiffusion, AggregateKind::kSum)
                     .Reading(ConstantReading)
-                    .Core(EngineCore::kSoa)
                     .Run();
   // Every node's self bank was cached during warmup; measured epochs replay.
   EXPECT_EQ(r.nodes_reprocessed_per_epoch, 0.0);
-
-  RunResult obj = BaseBuilder(Strategy::kSynopsisDiffusion, AggregateKind::kSum)
-                      .Reading(ConstantReading)
-                      .Core(EngineCore::kObject)
-                      .Run();
-  // The object core has no incremental path to observe.
-  EXPECT_EQ(obj.nodes_reprocessed_per_epoch, 0.0);
-  ExpectBitIdentical(obj, r);
 }
 
 TEST(CoreDeltaTest, SparseChangesReprocessOnlyTouchedNodes) {
   RunResult r = BaseBuilder(Strategy::kSynopsisDiffusion, AggregateKind::kSum)
                     .Reading(SparselyChangingReading)
-                    .Core(EngineCore::kSoa)
                     .Run();
   // ~2/13 of nodes change per epoch (this epoch's perturbed set plus last
   // epoch's reverting back); everyone else replays.
@@ -205,16 +206,23 @@ TEST(CoreDeltaTest, SparseChangesReprocessOnlyTouchedNodes) {
   RunResult churn = BaseBuilder(Strategy::kSynopsisDiffusion,
                                 AggregateKind::kSum)
                         .Reading(IdReading)  // changes every epoch
-                        .Core(EngineCore::kSoa)
                         .Run();
   EXPECT_GT(churn.nodes_reprocessed_per_epoch,
             r.nodes_reprocessed_per_epoch);
 }
 
+TEST(CoreApiTest, EngineCountsReprocessedNodes) {
+  Experiment exp = BaseBuilder(Strategy::kTag, AggregateKind::kCount).Build();
+  EXPECT_EQ(exp.engine().nodes_reprocessed(), 0u);
+  exp.StepEpoch(0);
+  EXPECT_GT(exp.engine().nodes_reprocessed(), 0u);
+}
+
+// -------------------------------------------------------- determinism --
+
 TEST(CoreTrialsTest, RunTrialsDeterministicAcrossThreadCountsOnSoa) {
   auto sweep = [&](unsigned threads) {
     return BaseBuilder(Strategy::kTributaryDelta, AggregateKind::kCount)
-        .Core(EngineCore::kSoa)
         .Trials(6)
         .Threads(threads)
         .RunTrials();
@@ -228,35 +236,6 @@ TEST(CoreTrialsTest, RunTrialsDeterministicAcrossThreadCountsOnSoa) {
   EXPECT_EQ(one.rms.mean(), eight.rms.mean());
   EXPECT_EQ(one.estimates.mean(), eight.estimates.mean());
   EXPECT_EQ(one.estimates.stddev(), eight.estimates.stddev());
-}
-
-TEST(CoreApiTest, EngineReportsItsCore) {
-  Experiment obj = BaseBuilder(Strategy::kTag, AggregateKind::kCount).Build();
-  EXPECT_EQ(obj.engine().core(), EngineCore::kObject);
-  EXPECT_EQ(obj.engine().nodes_reprocessed(), 0u);
-
-  Experiment soa = BaseBuilder(Strategy::kTag, AggregateKind::kCount)
-                       .Core(EngineCore::kSoa)
-                       .Build();
-  EXPECT_EQ(soa.engine().core(), EngineCore::kSoa);
-  soa.StepEpoch(0);
-  EXPECT_GT(soa.engine().nodes_reprocessed(), 0u);
-}
-
-TEST(CoreApiTest, EngineCoreNames) {
-  EXPECT_STREQ(EngineCoreName(EngineCore::kObject), "object");
-  EXPECT_STREQ(EngineCoreName(EngineCore::kSoa), "soa");
-}
-
-TEST(CoreRejectionDeathTest, SoaRejectsFrequentItems) {
-  EXPECT_DEATH(Experiment::Builder()
-                   .Synthetic(3, 64)
-                   .Aggregate(AggregateKind::kFrequentItems)
-                   .Strategy(Strategy::kSynopsisDiffusion)
-                   .Core(EngineCore::kSoa)
-                   .Epochs(1)
-                   .Build(),
-               "kFrequentItems");
 }
 
 }  // namespace

@@ -407,6 +407,14 @@ TEST(FederationDeathTest, ZeroGatewaysDies) {
       "needs at least one gateway");
 }
 
+TEST(FederationDeathTest, MissingScenarioDies) {
+  EXPECT_DEATH(FederatedExperiment::Builder()
+                   .Gateways(2, Strategy::kTag)
+                   .Epochs(1)
+                   .Build(),
+               "no scenario: call Synthetic");
+}
+
 TEST(FederationDeathTest, OverlappingShardsDie) {
   const Scenario sc = MakeSyntheticScenario(62, 100);
   ShardPlan plan = PlanSubtreeShards(sc, 2);

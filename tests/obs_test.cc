@@ -325,14 +325,13 @@ TEST(TelemetryTest, RegistryTotalsMatchLegacyCounters) {
   EXPECT_GT(t.phases[0].calls, 0u);
 }
 
-// SoA core: identical wiring, plus the epoch-delta replay counter.
+// The epoch-delta replay counter reaches telemetry unchanged.
 TEST(TelemetryTest, SoaCoreMirrorsReplayCounter) {
   auto build = [](bool telemetry) {
     Experiment::Builder b = Experiment::Builder()
                                 .Synthetic(7, 200)
                                 .Aggregate(AggregateKind::kCount)
                                 .Strategy(Strategy::kTributaryDelta)
-                                .Core(EngineCore::kSoa)
                                 .GlobalLossRate(0.2)
                                 .NetworkSeed(11)
                                 .Warmup(0)

@@ -355,27 +355,6 @@ TEST_P(QdStrategyTest, QuantileQdRunsEverywhere) {
   EXPECT_LT(r.rms, 1.0);
 }
 
-TEST(QdKindsTest, SoaCoreMatchesObjectCore) {
-  auto run = [&](EngineCore core) {
-    return Experiment::Builder()
-        .Synthetic(86, 120)
-        .AddQuery({.kind = AggregateKind::kQuantileQd, .quantile_p = 0.75})
-        .Reading(LightReading)
-        .Strategy(Strategy::kTag)
-        .Core(core)
-        .GlobalLossRate(0.15)
-        .NetworkSeed(7)
-        .Epochs(8)
-        .Run();
-  };
-  RunResult object = run(EngineCore::kObject);
-  RunResult soa = run(EngineCore::kSoa);
-  ASSERT_EQ(object.queries.size(), 1u);
-  ASSERT_EQ(soa.queries.size(), 1u);
-  EXPECT_EQ(object.queries[0].estimates, soa.queries[0].estimates);
-  EXPECT_EQ(object.bytes_per_epoch, soa.bytes_per_epoch);
-}
-
 TEST(QdKindsTest, WidthOneWindowMatchesInstantaneous) {
   RunResult r = Experiment::Builder()
                     .Synthetic(87, 100)

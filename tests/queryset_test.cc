@@ -16,12 +16,12 @@
 #include <vector>
 
 #include "agg/aggregates.h"
-#include "agg/multipath_aggregator.h"
 #include "agg/query_set.h"
-#include "agg/tree_aggregator.h"
 #include "api/experiment.h"
+#include "core/soa_multipath.h"
+#include "core/soa_td.h"
+#include "core/soa_tree.h"
 #include "net/network.h"
-#include "td/tributary_delta_aggregator.h"
 #include "util/stats.h"
 #include "workload/dynamics.h"
 #include "workload/scenario.h"
@@ -64,19 +64,19 @@ std::vector<GoldenRow> RunDirect(Strategy strategy, const Scenario& sc,
   };
   switch (strategy) {
     case Strategy::kTag: {
-      TreeAggregator<A> eng(&sc.tree, &net, &agg);
+      SoaTreeAggregator<A> eng(&sc.tree, &net, &agg);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kTagRetx: {
-      TreeAggregator<A> eng(
+      SoaTreeAggregator<A> eng(
           &sc.tree, &net, &agg,
-          typename TreeAggregator<A>::Options{.extra_retransmissions = 2});
+          typename SoaTreeAggregator<A>::Options{.extra_retransmissions = 2});
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kSynopsisDiffusion: {
-      MultipathAggregator<A> eng(&sc.rings, &net, &agg);
+      SoaMultipathAggregator<A> eng(&sc.rings, &net, &agg);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
@@ -88,8 +88,8 @@ std::vector<GoldenRow> RunDirect(Strategy strategy, const Scenario& sc,
       } else {
         policy = std::make_unique<TdFinePolicy>();
       }
-      TributaryDeltaAggregator<A> eng(&sc.tree, &sc.rings, &net, &agg,
-                                      std::move(policy));
+      SoaTributaryDeltaAggregator<A> eng(&sc.tree, &sc.rings, &net, &agg,
+                                         std::move(policy));
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }

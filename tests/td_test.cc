@@ -6,10 +6,10 @@
 #include <memory>
 
 #include "agg/aggregates.h"
+#include "core/soa_td.h"
 #include "net/network.h"
 #include "td/adaptation.h"
 #include "td/region_state.h"
-#include "td/tributary_delta_aggregator.h"
 #include "util/stats.h"
 #include "workload/scenario.h"
 
@@ -280,10 +280,10 @@ TEST(OscillationDamperTest, DampingDisabled) {
 // ----------------------------------------------------------- TD engine --
 
 template <typename Policy>
-TributaryDeltaAggregator<CountAggregate> MakeTdEngine(Scenario* sc,
-                                                      Network* net,
-                                                      CountAggregate* agg) {
-  return TributaryDeltaAggregator<CountAggregate>(
+SoaTributaryDeltaAggregator<CountAggregate> MakeTdEngine(Scenario* sc,
+                                                         Network* net,
+                                                         CountAggregate* agg) {
+  return SoaTributaryDeltaAggregator<CountAggregate>(
       &sc->tree, &sc->rings, net, agg, std::make_unique<Policy>());
 }
 
@@ -321,9 +321,9 @@ TEST(TdEngineTest, CoarseAdaptationReachesThreshold) {
   Network net(&sc.deployment, &sc.connectivity,
               std::make_shared<GlobalLoss>(0.25), 7);
   CountAggregate agg;
-  TributaryDeltaAggregator<CountAggregate>::Options options;
+  SoaTributaryDeltaAggregator<CountAggregate>::Options options;
   options.adaptation.period = 5;
-  TributaryDeltaAggregator<CountAggregate> engine(
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
       &sc.tree, &sc.rings, &net, &agg, std::make_unique<TdCoarsePolicy>(),
       options);
   RunningStat tail_contrib;
@@ -345,9 +345,9 @@ TEST(TdEngineTest, FineAdaptationTargetsLossyRegion) {
                                              0.5, 0.03);
   Network net(&sc.deployment, &sc.connectivity, loss, 8);
   CountAggregate agg;
-  TributaryDeltaAggregator<CountAggregate>::Options options;
+  SoaTributaryDeltaAggregator<CountAggregate>::Options options;
   options.adaptation.period = 5;
-  TributaryDeltaAggregator<CountAggregate> engine(
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
       &sc.tree, &sc.rings, &net, &agg, std::make_unique<TdFinePolicy>(),
       options);
   for (uint32_t e = 0; e < 200; ++e) engine.RunEpoch(e);
@@ -378,9 +378,9 @@ TEST(TdEngineTest, InvariantsHoldThroughoutAdaptation) {
   Network net(&sc.deployment, &sc.connectivity,
               std::make_shared<GlobalLoss>(0.35), 9);
   CountAggregate agg;
-  TributaryDeltaAggregator<CountAggregate>::Options options;
+  SoaTributaryDeltaAggregator<CountAggregate>::Options options;
   options.adaptation.period = 3;
-  TributaryDeltaAggregator<CountAggregate> engine(
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
       &sc.tree, &sc.rings, &net, &agg, std::make_unique<TdFinePolicy>(),
       options);
   for (uint32_t e = 0; e < 60; ++e) {
@@ -413,9 +413,9 @@ TEST(TdEngineTest, CombinedBeatsPureSchemesAtModerateLoss) {
   auto run_td = [&] {
     Network net(&sc.deployment, &sc.connectivity,
                 std::make_shared<GlobalLoss>(loss), 99);
-    TributaryDeltaAggregator<CountAggregate>::Options options;
+    SoaTributaryDeltaAggregator<CountAggregate>::Options options;
     options.adaptation.period = 4;
-    TributaryDeltaAggregator<CountAggregate> engine(
+    SoaTributaryDeltaAggregator<CountAggregate> engine(
         &sc.tree, &sc.rings, &net, &agg, std::make_unique<TdFinePolicy>(),
         options);
     // Warm-up for convergence (the paper observes ~50 epochs for TD), then

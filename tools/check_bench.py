@@ -63,15 +63,14 @@ runs, and at least one digest cell must beat the sample synopsis on
 both axes -- strictly fewer bytes/epoch at equal-or-better observed
 error. Deterministic counters; exact; no baseline file.
 
-With --scaling BENCH_micro.json the tool gates the SoA scaling curve: at
-100k sensors the structure-of-arrays core must run epochs at least
---min-soa-speedup (default 3.0) times faster than the object core, the
-1M-sensor SoA epoch must be present and under --max-1m-epoch-ms (default
+With --scaling BENCH_micro.json the tool gates the scaling curve: the
+1M-sensor epoch must be present and under --max-1m-epoch-ms (default
 60000) so the curve stays inside the CI job budget, every per-n
 determinism flag must be 1 (two fresh runs produced identical estimates
-and byte tallies), and every match flag must be 1 (SoA and object cores
-agreed exactly wherever both ran). Timings gate with generous margins;
-the flags are exact.
+and byte tallies), and every match flag must be 1 (at 10k and 100k the
+run reproduced the digest bench/baselines/scaling_object_core.json
+recorded from the deleted per-node-object engine core). The timing gates
+with a generous margin; the flags are exact.
 
 With --telemetry BENCH_micro.json the tool gates the flight-recorder cost
 rows written by bench_micro --telemetry: both bit-identity flags must be
@@ -419,16 +418,14 @@ def check_accuracy(path):
     return failures
 
 
-def check_scaling(path, min_speedup, max_1m_epoch_ms):
-    """Gate the scaling_* rows of BENCH_micro.json: SoA speedup at 100k,
-    a bounded 1M epoch, and exact determinism/equivalence flags. Returns
-    failure strings."""
+def check_scaling(path, max_1m_epoch_ms):
+    """Gate the scaling_* rows of BENCH_micro.json: a bounded 1M epoch and
+    exact determinism/golden-match flags. Returns failure strings."""
     metrics, _ = load_metrics(path)
     failures = []
     required = [
         "scaling_soa_epoch_ms_10k", "scaling_soa_epoch_ms_100k",
-        "scaling_soa_epoch_ms_1m", "scaling_obj_epoch_ms_10k",
-        "scaling_obj_epoch_ms_100k", "scaling_soa_deterministic_10k",
+        "scaling_soa_epoch_ms_1m", "scaling_soa_deterministic_10k",
         "scaling_soa_deterministic_100k", "scaling_soa_deterministic_1m",
         "scaling_match_10k", "scaling_match_100k",
     ]
@@ -437,37 +434,30 @@ def check_scaling(path, min_speedup, max_1m_epoch_ms):
         return [f"scaling rows missing from {path}: {', '.join(missing)} "
                 f"(was bench_micro run with --scaling?)"]
 
-    print(f"scaling gate: {path}, soa >= {min_speedup:g}x object at 100k, "
-          f"1M epoch <= {max_1m_epoch_ms:g} ms, exact flags")
+    print(f"scaling gate: {path}, 1M epoch <= {max_1m_epoch_ms:g} ms, "
+          f"exact flags")
     for tag in ("10k", "100k", "1m"):
-        soa = metrics[f"scaling_soa_epoch_ms_{tag}"]
-        obj = metrics.get(f"scaling_obj_epoch_ms_{tag}")
-        note = f" vs obj {obj:.1f} ms ({obj / soa:.2f}x)" if obj else ""
-        print(f"  n={tag:<5} soa {soa:>9.1f} ms/epoch{note}")
-    speedup = (metrics["scaling_obj_epoch_ms_100k"] /
-               metrics["scaling_soa_epoch_ms_100k"])
-    if speedup < min_speedup:
-        failures.append(
-            f"soa core is only {speedup:.2f}x the object core at 100k "
-            f"(gate {min_speedup:g}x)")
+        ms = metrics[f"scaling_soa_epoch_ms_{tag}"]
+        print(f"  n={tag:<5} {ms:>9.1f} ms/epoch")
     ms_1m = metrics["scaling_soa_epoch_ms_1m"]
     if not ms_1m > 0:
-        failures.append("1M-sensor soa epoch time is not positive -- "
+        failures.append("1M-sensor epoch time is not positive -- "
                         "the 1M arm did not actually run")
     if ms_1m > max_1m_epoch_ms:
         failures.append(
-            f"1M-sensor soa epoch took {ms_1m:.0f} ms > "
+            f"1M-sensor epoch took {ms_1m:.0f} ms > "
             f"{max_1m_epoch_ms:g} ms budget")
     for tag in ("10k", "100k", "1m"):
         if metrics[f"scaling_soa_deterministic_{tag}"] != 1:
             failures.append(
-                f"n={tag}: two fresh soa runs diverged -- the flat core "
+                f"n={tag}: two fresh runs diverged -- the engine core "
                 f"is nondeterministic")
     for tag in ("10k", "100k"):
         if metrics[f"scaling_match_{tag}"] != 1:
             failures.append(
-                f"n={tag}: soa and object cores disagreed -- the "
-                f"bit-identity contract broke at scale")
+                f"n={tag}: the run's digest differs from the one recorded "
+                f"in bench/baselines/scaling_object_core.json -- the "
+                f"estimates or byte tallies changed at scale")
     return failures
 
 
@@ -583,11 +573,8 @@ def main():
     parser.add_argument("--scaling", metavar="JSON", default=None,
                         help="gate the scaling_* rows of a BENCH_micro.json "
                              "written by bench_micro --scaling")
-    parser.add_argument("--min-soa-speedup", type=float, default=3.0,
-                        help="required soa-vs-object epoch speedup at 100k "
-                             "sensors (default 3.0)")
     parser.add_argument("--max-1m-epoch-ms", type=float, default=60000.0,
-                        help="budget for one 1M-sensor soa epoch in ms "
+                        help="budget for one 1M-sensor epoch in ms "
                              "(default 60000)")
     parser.add_argument("--telemetry", metavar="JSON", default=None,
                         help="gate the telemetry_* rows of a "
@@ -651,8 +638,7 @@ def main():
         print("accuracy gate: OK")
     if args.scaling:
         ran_gate = True
-        failures = check_scaling(args.scaling, args.min_soa_speedup,
-                                 args.max_1m_epoch_ms)
+        failures = check_scaling(args.scaling, args.max_1m_epoch_ms)
         if failures:
             print("\nFAILED:", file=sys.stderr)
             for f in failures:

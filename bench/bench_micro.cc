@@ -21,12 +21,14 @@
 #include "api/experiment.h"
 #include "bench_util.h"
 #include "freq/gk_summary.h"
+#include "freq/item_source.h"
 #include "freq/precision_gradient.h"
 #include "freq/summary.h"
 #include "net/network.h"
 #include "sketch/fm_sketch.h"
 #include "sketch/kmv_sketch.h"
 #include "sketch/rle.h"
+#include "workload/labdata.h"
 #include "workload/scenario.h"
 
 namespace td {
@@ -502,26 +504,83 @@ void AppendTelemetryJson(bench::BenchJson* json) {
 }
 
 // ------------------------------------------------------------------------
+// Machine-speed reference for the CI regression gate: a fixed xorshift64
+// chain that calls no src/ code, so no engine or codec change can move it
+// and calibrating by it rescales only for the machine.
+
+uint64_t CalibSpin(uint64_t seed) {
+  uint64_t x = seed | 1;
+  for (int i = 0; i < 4096; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+// One synopsis-diffusion frequent-items epoch on LabData with the lab_freq
+// suite parameters (s = 1%, eps = 0.1%, 32-bitmap item counters, 20% loss).
+struct FreqEpochFixture {
+  static constexpr double kEps = 0.001;
+
+  Scenario scenario = MakeLabScenario(42);
+  ItemSource items{scenario.deployment.size()};
+
+  FreqEpochFixture() { FillLabItemStreams(&items, 5000); }
+
+  Experiment Build() const {
+    MultipathFreqParams params;
+    params.eps = kEps;
+    params.n_upper = items.TotalOccurrences() * 2;
+    params.item_bitmaps = 32;
+    params.seed = 777;
+    return Experiment::Builder()
+        .Scenario(&scenario)
+        .Aggregate(AggregateKind::kFrequentItems)
+        .Items(&items)
+        .Gradient(std::make_shared<MinTotalLoadGradient>(kEps, 2.25))
+        .FreqParams(params)
+        .Strategy(Strategy::kSynopsisDiffusion)
+        .GlobalLossRate(0.2)
+        .NetworkSeed(1)
+        .Epochs(1)  // stepped manually by the timing loop
+        .Build();
+  }
+};
+
+// ------------------------------------------------------------------------
 // BENCH_micro.json: chrono-timed headline numbers for the perf trajectory.
 
 void WriteMicroJson(bool with_scaling, bool with_telemetry) {
   bench::BenchJson json("micro");
 
   {
+    uint64_t seed = 0;
+    double sec = SecondsPerCall(
+        [&] { benchmark::DoNotOptimize(CalibSpin(seed++)); }, 20000);
+    json.Entry().Field("metric", "calib_spin_ns").Field("value", sec * 1e9);
+  }
+
+  // The codec counters are stateless and sub-microsecond, so they take
+  // 100000 calls: the five timed runs then span long enough that one
+  // scheduler burst on a shared machine reaches at most one or two of them.
+  constexpr int kCodecCalls = 100000;
+  {
     FmSketch s(40, 1);
     for (uint64_t k = 0; k < 1000; ++k) s.AddKey(k);
-    double sec = SecondsPerCall([&] { BankRleBytes(s.bitmaps()); }, 20000);
+    double sec =
+        SecondsPerCall([&] { BankRleBytes(s.bitmaps()); }, kCodecCalls);
     json.Entry().Field("metric", "bank_rle_bytes_ns").Field("value", sec * 1e9);
-    sec = SecondsPerCall([&] { EncodeBankRle(s.bitmaps()); }, 20000);
+    sec = SecondsPerCall([&] { EncodeBankRle(s.bitmaps()); }, kCodecCalls);
     json.Entry()
         .Field("metric", "bank_rle_encode_ns")
         .Field("value", sec * 1e9);
   }
   {
-    // Absent from bench/baselines/micro_pr2.json, so recorded, not gated.
     FmSketch s(40, 1);
     for (uint64_t k = 0; k < 8; ++k) s.AddKey(k);
-    double sec = SecondsPerCall([&] { BankRleBytes(s.bitmaps()); }, 20000);
+    double sec =
+        SecondsPerCall([&] { BankRleBytes(s.bitmaps()); }, kCodecCalls);
     json.Entry()
         .Field("metric", "bank_rle_bytes_sparse_ns")
         .Field("value", sec * 1e9);
@@ -539,6 +598,14 @@ void WriteMicroJson(bool with_scaling, bool with_telemetry) {
     const int calls = spec.strategy == Strategy::kTag ? 2000 : 200;
     double sec = SecondsPerCall([&] { exp.engine().RunEpoch(e++); }, calls);
     json.Entry().Field("metric", spec.name).Field("value", sec * 1e6);
+  }
+
+  {
+    const FreqEpochFixture fixture;
+    Experiment exp = fixture.Build();
+    uint32_t e = 0;
+    double sec = SecondsPerCall([&] { exp.engine().RunEpoch(e++); }, 100);
+    json.Entry().Field("metric", "freq_epoch_us").Field("value", sec * 1e6);
   }
 
   for (unsigned threads : {1u, 0u}) {

@@ -4,8 +4,6 @@
 
 #include <cstddef>
 
-#include "util/node_set.h"
-
 namespace td {
 
 /// Bookkeeping for the engines' reusable per-epoch inbox scratch: `builds`
@@ -21,11 +19,8 @@ template <typename Result>
 struct EpochOutcome {
   Result result{};
 
-  /// Ground truth: exact set of sensors whose readings are accounted for in
+  /// Ground truth: how many sensors' readings are accounted for in
   /// `result` (simulator metadata; the base station cannot observe this).
-  NodeSet contributors;
-
-  /// Ground truth count (== contributors.Count(), cached).
   size_t true_contributing = 0;
 
   /// What the base station *believes* contributed, from the piggybacked

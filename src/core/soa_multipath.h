@@ -92,6 +92,10 @@ class SoaMultipathAggregator {
           typename A::Synopsis& syn = *scratch_syn_;
           MakeSelfSynopsis(v, epoch, &syn);
           aggregate_->Fuse(&syn, obj_inbox_[v]);
+          // The inbox is dead once fused. Resetting it here lets synopses
+          // that own heap blocks (frequent items' class banks) free them
+          // at last use; fixed-geometry synopses keep their buffers.
+          obj_inbox_[v] = *empty_synopsis_;
         }
 
         // Contrib bank: inbox copy + own-id insertion (OR commutes, so the
@@ -131,7 +135,6 @@ class SoaMultipathAggregator {
       out.result = aggregate_->EvaluateSynopsis(obj_inbox_[base]);
     }
     out.true_contributing = ComputeContributors(base);
-    out.contributors = contributors_;
     contrib_eval_.Clear();
     contrib_eval_.OrBits(contrib_inbox_.Slot(base), contrib_words_);
     out.reported_contributing = contrib_eval_.Estimate();

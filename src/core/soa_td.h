@@ -232,7 +232,6 @@ class SoaTributaryDeltaAggregator {
     Outcome out;
     out.result = aggregate_->EvaluateCombined(base_partial, BaseSynopsis(base));
     out.true_contributing = ComputeContributors(base);
-    out.contributors = contributors_;
     contrib_eval_.Clear();
     contrib_eval_.OrBits(contrib_inbox_.Slot(base), contrib_words_);
     out.reported_contributing =
@@ -310,6 +309,8 @@ class SoaTributaryDeltaAggregator {
       typename A::Synopsis& syn = *scratch_syn_;
       MakeSelfSynopsis(v, epoch, &syn);
       aggregate_->Fuse(&syn, obj_syn_inbox_[v]);
+      // Dead once fused; see SoaMultipathAggregator::RunEpoch.
+      obj_syn_inbox_[v] = *empty_synopsis_;
     }
 
     std::memcpy(out_contrib_.data(), contrib_inbox_.Slot(v),

@@ -30,9 +30,10 @@ concept SoaFmSynopsis =
 /// Aggregates that declare the epoch-delta identity key: the node's self
 /// synopsis/partial is a pure function of (node, SelfSynopsisKey(node,
 /// epoch)), so an unchanged key replays the cached self state instead of
-/// re-hashing. Aggregates without the member (e.g. the lowered query-set
-/// aggregate) recompute every node every epoch -- still correct, never
-/// faster.
+/// re-hashing. Every registry aggregate declares it: reading-driven ones
+/// key by the reading, frequent items by the node's ItemSource version.
+/// Aggregates without the member (the query-set aggregate) recompute every
+/// node every epoch -- still correct, never faster.
 template <typename A>
 concept SoaSelfKeyed = requires(const A a, NodeId node, uint32_t epoch) {
   { a.SelfSynopsisKey(node, epoch) } -> std::convertible_to<uint64_t>;

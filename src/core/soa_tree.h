@@ -91,7 +91,6 @@ class SoaTreeAggregator {
     Outcome out;
     out.result = aggregate_->EvaluateTree(final_partial);
     out.true_contributing = ComputeContributors(root);
-    out.contributors = contributors_;
     out.reported_contributing = static_cast<double>(inbox_count_[root]);
     // Base-station bookkeeping for window and federation consumers: the
     // root partial is kept, never retransmitted, so capture adds zero radio

@@ -22,7 +22,8 @@ FrequentItemsAggregate::FrequentItemsAggregate(
 FrequentItemsAggregate::TreePartial FrequentItemsAggregate::MakeTreePartial(
     NodeId node, uint32_t /*epoch*/) const {
   // The frequent-items query is one-shot over each node's collection
-  // (Section 6's formulation); epochs re-run it over the same data.
+  // (Section 6's formulation); epochs re-run it over the same data, which
+  // the engines replay from cache while the collection's version holds.
   TreePartial p;
   p.summary = LocalSummary(items_->collection(node));
   p.origin = node;
@@ -60,7 +61,7 @@ FrequentItemsAggregate::Synopsis FrequentItemsAggregate::Convert(
 FrequentItemsAggregate::Result FrequentItemsAggregate::EvaluateTree(
     const TreePartial& p) const {
   Result r;
-  r.counts = p.summary.items;
+  r.counts.insert(p.summary.items.begin(), p.summary.items.end());
   r.total = static_cast<double>(p.summary.n);
   return r;
 }

@@ -62,6 +62,13 @@ class FrequentItemsAggregate {
   size_t TreeBytes(const TreePartial& p) const;
   size_t SynopsisBytes(const Synopsis& s) const;
 
+  /// Epoch-delta identity key (see core/soa_traits.h): a node's self
+  /// partial and synopsis are pure functions of its item collection, so
+  /// the collection's version keys the engines' replay caches.
+  uint64_t SelfSynopsisKey(NodeId node, uint32_t /*epoch*/) const {
+    return items_->version(node);
+  }
+
   const MultipathFreq& multipath() const { return mp_; }
   const PrecisionGradient& gradient() const { return *gradient_; }
 

@@ -20,16 +20,28 @@ using Item = uint64_t;
 using ItemCounts = std::map<Item, uint64_t>;
 
 /// The item collections of every node in a deployment (index = node id;
-/// the base station's collection is empty).
+/// the base station's collection is empty). Every mutation goes through a
+/// method that bumps the node's version, so the engines' epoch-delta
+/// replay (keyed by version()) can never serve a stale self synopsis.
 class ItemSource {
  public:
-  explicit ItemSource(size_t num_nodes) : collections_(num_nodes) {}
+  explicit ItemSource(size_t num_nodes)
+      : collections_(num_nodes), versions_(num_nodes, 0) {}
 
-  ItemCounts& collection(NodeId id) { return collections_[id]; }
   const ItemCounts& collection(NodeId id) const { return collections_[id]; }
+
+  /// Bumped by every mutation of node `id`'s collection.
+  uint64_t version(NodeId id) const { return versions_[id]; }
 
   void Add(NodeId id, Item u, uint64_t count = 1) {
     collections_[id][u] += count;
+    ++versions_[id];
+  }
+
+  /// Empties node `id`'s collection.
+  void Clear(NodeId id) {
+    collections_[id].clear();
+    ++versions_[id];
   }
 
   size_t num_nodes() const { return collections_.size(); }
@@ -66,6 +78,7 @@ class ItemSource {
 
  private:
   std::vector<ItemCounts> collections_;
+  std::vector<uint64_t> versions_;
 };
 
 }  // namespace td

@@ -25,10 +25,10 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "freq/item_source.h"
 #include "freq/summary.h"
-#include "sketch/fm_sketch.h"
 
 namespace td {
 
@@ -56,18 +56,23 @@ struct MultipathFreqParams {
 };
 
 /// A synopsis of one class: i ~ log2 of the number of occurrences
-/// represented.
+/// represented. Flat block store: `items` is sorted ascending and the
+/// duplicate-insensitive counter of items[k] is the FM bank at words
+/// [k*W, (k+1)*W) of `counters`, W = MultipathFreqParams::item_bitmaps. A
+/// fuse is a sorted merge that ORs the banks of shared items.
 struct FreqClassSynopsis {
   int cls = 0;
-  FmSketch n_sketch;                 // duplicate-insensitive occurrence count
-  std::map<Item, FmSketch> counters;  // duplicate-insensitive per-item counts
+  std::vector<uint32_t> n_sketch;  // FM bank: duplicate-insensitive count
+  std::vector<Item> items;         // ascending
+  std::vector<uint32_t> counters;  // item_bitmaps words per item
 };
 
-/// A node's full partial result: at most one synopsis per class.
+/// A node's full partial result: at most one synopsis per class, in
+/// ascending class order.
 struct FreqSynopsisBank {
-  std::map<int, FreqClassSynopsis> by_class;
+  std::vector<FreqClassSynopsis> classes;
 
-  bool Empty() const { return by_class.empty(); }
+  bool Empty() const { return classes.empty(); }
 };
 
 class MultipathFreq {
@@ -99,23 +104,43 @@ class MultipathFreq {
   /// insensitive operator (sketch union), then estimate.
   Evaluation Evaluate(const FreqSynopsisBank& bank) const;
 
-  /// Serialized size of a bank for message accounting.
+  /// Serialized size of a bank for message accounting: per class a class
+  /// id byte and the n~ bank's BankRleBytes, per item a 4-byte id and its
+  /// counter's BankRleBytes.
   size_t EncodedBytes(const FreqSynopsisBank& bank) const;
 
   /// An empty bank (the fusion identity).
   FreqSynopsisBank EmptyBank() const { return FreqSynopsisBank{}; }
 
  private:
-  FreqClassSynopsis MakeClassSynopsis(int cls) const;
+  size_t ItemWords() const {
+    return static_cast<size_t>(params_.item_bitmaps);
+  }
+  size_t CountWords() const {
+    return static_cast<size_t>(params_.count_bitmaps);
+  }
 
-  /// Algorithm 2 proper: combine two same-class synopses; may promote.
-  FreqClassSynopsis Combine(FreqClassSynopsis a, FreqClassSynopsis b) const;
+  /// The counter bank of `s.items[k]` (item_bitmaps words).
+  const uint32_t* Counter(const FreqClassSynopsis& s, size_t k) const {
+    return s.counters.data() + k * ItemWords();
+  }
+
+  /// The SG/conversion core: a one-class bank over `counts` (n' = n,
+  /// threshold i*n'*eps/logN), every insertion keyed by `key_node`.
+  template <typename Counts>
+  FreqSynopsisBank SingleClassBank(NodeId key_node, uint64_t n,
+                                   const Counts& counts) const;
+
+  /// Algorithm 2 proper: combine the same-class synopsis `b` into `a`;
+  /// may promote `a`.
+  void Combine(FreqClassSynopsis* a, const FreqClassSynopsis& b) const;
 
   /// Applies the rising-threshold drop rule for a synopsis that reached
-  /// estimated size n_est at class `cls`.
+  /// estimated size n_est, compacting the kept items in place.
   void ApplyThreshold(FreqClassSynopsis* s, double n_est) const;
 
-  void InsertWithCarry(FreqSynopsisBank* bank, FreqClassSynopsis s) const;
+  void InsertWithCarry(FreqSynopsisBank* bank,
+                       const FreqClassSynopsis& s) const;
 
   MultipathFreqParams params_;
 };

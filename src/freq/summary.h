@@ -18,7 +18,7 @@
 #define TD_FREQ_SUMMARY_H_
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "freq/item_source.h"
@@ -38,9 +38,14 @@ struct Summary {
   /// eps(k) * n.
   double error_mass = 0.0;
 
-  /// Estimated counts; strictly positive (non-positive estimates are
-  /// dropped by Algorithm 1).
-  std::map<Item, double> items;
+  /// Estimated counts in ascending item order, one entry per item;
+  /// strictly positive (non-positive estimates are dropped by Algorithm 1).
+  /// A flat sorted vector: merging is a sorted merge, pruning compacts in
+  /// place, and a cached copy costs 16 bytes per item.
+  std::vector<std::pair<Item, double>> items;
+
+  /// The estimate of `u`, or nullptr when `u` is absent.
+  const double* Find(Item u) const;
 
   /// Number of 32-bit words a transmission of this summary costs:
   /// 2 per (item, estimate) pair + 2 for (n, error-mass/height metadata).

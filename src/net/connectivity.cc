@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 
@@ -20,33 +21,38 @@ Connectivity Connectivity::FromRadioRange(const Deployment& deployment,
   // a < b orientation are unchanged, and SortAdjacency canonicalizes the
   // lists, so the output is identical to the quadratic scan's.
   const double cell = range;
-  auto cell_key = [&](const Point& p) {
-    const int64_t cx = static_cast<int64_t>(std::floor(p.x / cell));
-    const int64_t cy = static_cast<int64_t>(std::floor(p.y / cell));
+  auto cell_of = [&](double coord) {
+    return static_cast<int64_t>(std::floor(coord / cell));
+  };
+  auto cell_key = [](int64_t cx, int64_t cy) {
     return (static_cast<uint64_t>(cx) << 32) ^
            static_cast<uint64_t>(static_cast<uint32_t>(cy));
   };
-  std::unordered_map<uint64_t, std::vector<NodeId>> grid;
+  // (cell key, node) pairs sorted: each cell's nodes are one run, in
+  // ascending id order.
+  std::vector<std::pair<uint64_t, NodeId>> grid;
   grid.reserve(deployment.size());
   for (NodeId a = 0; a < deployment.size(); ++a) {
-    grid[cell_key(deployment.position(a))].push_back(a);
+    const Point& p = deployment.position(a);
+    grid.emplace_back(cell_key(cell_of(p.x), cell_of(p.y)), a);
   }
+  std::sort(grid.begin(), grid.end());
+  // A starting capacity near the typical degree saves most of the growth
+  // reallocations, which dominate set-up time at small n.
+  for (auto& nbrs : c.adjacency_) nbrs.reserve(8);
   for (NodeId a = 0; a < deployment.size(); ++a) {
     const Point& pa = deployment.position(a);
-    const int64_t cx = static_cast<int64_t>(std::floor(pa.x / cell));
-    const int64_t cy = static_cast<int64_t>(std::floor(pa.y / cell));
+    const int64_t cx = cell_of(pa.x);
+    const int64_t cy = cell_of(pa.y);
     for (int64_t dx = -1; dx <= 1; ++dx) {
       for (int64_t dy = -1; dy <= 1; ++dy) {
-        const uint64_t key =
-            (static_cast<uint64_t>(cx + dx) << 32) ^
-            static_cast<uint64_t>(static_cast<uint32_t>(cy + dy));
-        auto it = grid.find(key);
-        if (it == grid.end()) continue;
-        for (NodeId b : it->second) {
+        const uint64_t key = cell_key(cx + dx, cy + dy);
+        auto it = std::lower_bound(grid.begin(), grid.end(),
+                                   std::pair<uint64_t, NodeId>(key, 0));
+        for (; it != grid.end() && it->first == key; ++it) {
+          const NodeId b = it->second;
           if (b <= a) continue;
-          if (Distance(pa, deployment.position(b)) <= range) {
-            c.AddLink(a, b);
-          }
+          if (Distance(pa, deployment.position(b)) <= range) c.AddLink(a, b);
         }
       }
     }

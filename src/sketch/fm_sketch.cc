@@ -40,13 +40,18 @@ void FmSketch::AddKeyBits(uint64_t key, uint64_t seed, uint32_t* bank,
 }
 
 void FmSketch::AddValue(uint64_t key, uint64_t value) {
+  AddValueBits(key, value, seed_, bitmaps_.data(), bitmaps_.size());
+}
+
+void FmSketch::AddValueBits(uint64_t key, uint64_t value, uint64_t seed,
+                            uint32_t* bank, size_t num_bitmaps) {
   if (value == 0) return;
   // Deterministic simulation of `value` distinct sub-item insertions.
   // Randomness is a pure function of (key, seed): replaying the same
   // logical insertion reproduces the same bitmap bits, so ORing copies is
   // idempotent -- the whole point of duplicate-insensitive Sum.
-  Rng rng(Hash64(key, seed_ ^ 0xc3c3c3c3c3c3c3c3ULL));
-  const size_t k = bitmaps_.size();
+  Rng rng(Hash64(key, seed ^ 0xc3c3c3c3c3c3c3c3ULL));
+  const size_t k = num_bitmaps;
   uint64_t remaining = value;
   for (size_t j = 0; j < k && remaining > 0; ++j) {
     // Multinomial allocation over bitmaps via sequential binomials.
@@ -62,7 +67,7 @@ void FmSketch::AddValue(uint64_t key, uint64_t value) {
       uint64_t at_b = (b + 1 == kBitsPerBitmap)
                           ? at_or_above
                           : rng.Binomial(at_or_above, 0.5);
-      if (at_b > 0) bitmaps_[j] |= (1u << b);
+      if (at_b > 0) bank[j] |= (1u << b);
       at_or_above -= at_b;
     }
   }
@@ -95,9 +100,13 @@ void FmSketch::OrBits(const uint32_t* bits, size_t count) {
 }
 
 double FmSketch::Estimate() const {
-  const double k = static_cast<double>(bitmaps_.size());
+  return EstimateBits(bitmaps_.data(), bitmaps_.size());
+}
+
+double FmSketch::EstimateBits(const uint32_t* bank, size_t num_bitmaps) {
+  const double k = static_cast<double>(num_bitmaps);
   double s = 0.0;
-  for (uint32_t bm : bitmaps_) s += LowestUnsetBit32(bm);
+  for (size_t i = 0; i < num_bitmaps; ++i) s += LowestUnsetBit32(bank[i]);
   const double ratio = s / k;
   // Small-range corrected PCSA estimator; exactly 0 when every bitmap is
   // empty (ratio == 0). exp2 replaces the two pow(2, x) calls on the

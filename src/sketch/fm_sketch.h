@@ -64,6 +64,15 @@ class FmSketch {
   static void AddKeyBits(uint64_t key, uint64_t seed, uint32_t* bank,
                          size_t num_bitmaps);
 
+  /// Sets the bits AddValue(key, value) would set, directly in a raw bank
+  /// of `num_bitmaps` bitmaps under `seed` (the flat frequent-items class
+  /// banks hold their per-item counters this way).
+  static void AddValueBits(uint64_t key, uint64_t value, uint64_t seed,
+                           uint32_t* bank, size_t num_bitmaps);
+
+  /// Estimate() of a raw bank of `num_bitmaps` bitmaps.
+  static double EstimateBits(const uint32_t* bank, size_t num_bitmaps);
+
   /// PCSA estimate of the number of distinct insertions, with the standard
   /// small-range correction (k/phi * (2^{S/k} - 2^{-1.75 S/k})) so that an
   /// empty sketch estimates 0.

@@ -57,19 +57,25 @@ bool IsDDominating(const HeightHistogram& hist, double d) {
 double DominationFactor(const HeightHistogram& hist, double granularity,
                         double d_max) {
   TD_CHECK_GT(granularity, 0.0);
-  double best = 1.0;
   // Index the grid multiplicatively so accumulated floating-point error
   // cannot shave a grid point (d = 4.0 must be exactly 4.0).
-  for (int k = 0;; ++k) {
-    double d = 1.0 + granularity * k;
-    if (d > d_max + 1e-9) break;
-    if (IsDDominating(hist, d)) {
-      best = d;
+  auto grid = [granularity](int k) { return 1.0 + granularity * k; };
+  int last = 0;  // the largest grid index within d_max
+  while (grid(last + 1) <= d_max + 1e-9) ++last;
+  // The condition is monotone in d (larger d is stricter, and grid points
+  // lie far more than a rounding error apart), so bisect for the last
+  // passing grid point. d = 1 always passes.
+  int pass = 0;
+  int fail = last + 1;
+  while (fail - pass > 1) {
+    const int mid = pass + (fail - pass) / 2;
+    if (IsDDominating(hist, grid(mid))) {
+      pass = mid;
     } else {
-      break;  // the condition is monotone in d (larger d is stricter)
+      fail = mid;
     }
   }
-  return best;
+  return grid(pass);
 }
 
 bool SatisfiesLemma2(const Tree& tree, int d) {

@@ -63,12 +63,18 @@ const std::vector<NodeId>& Rings::NodesAtLevel(int level) const {
 std::vector<NodeId> Rings::UpstreamNeighbors(const Connectivity& connectivity,
                                              NodeId id) const {
   std::vector<NodeId> up;
-  int lv = level(id);
-  if (lv <= 0) return up;
-  for (NodeId w : connectivity.Neighbors(id)) {
-    if (level_[w] == lv - 1) up.push_back(w);
-  }
+  UpstreamNeighbors(connectivity, id, &up);
   return up;
+}
+
+void Rings::UpstreamNeighbors(const Connectivity& connectivity, NodeId id,
+                              std::vector<NodeId>* out) const {
+  out->clear();
+  int lv = level(id);
+  if (lv <= 0) return;
+  for (NodeId w : connectivity.Neighbors(id)) {
+    if (level_[w] == lv - 1) out->push_back(w);
+  }
 }
 
 size_t Rings::num_reachable() const {

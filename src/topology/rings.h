@@ -60,6 +60,11 @@ class Rings {
   std::vector<NodeId> UpstreamNeighbors(const Connectivity& connectivity,
                                         NodeId id) const;
 
+  /// The same list written into `out` (cleared first), so a caller that
+  /// walks many nodes reuses one buffer instead of allocating per node.
+  void UpstreamNeighbors(const Connectivity& connectivity, NodeId id,
+                         std::vector<NodeId>* out) const;
+
   /// Count of reachable nodes (level >= 0), including the base.
   size_t num_reachable() const;
 

@@ -1,7 +1,8 @@
 #include "topology/tree_builder.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <span>
 
 #include "topology/domination.h"
 #include "util/check.h"
@@ -10,15 +11,40 @@ namespace td {
 
 namespace {
 
+// Every node's upstream ring neighbors (Rings::UpstreamNeighbors order) in
+// one flat list. The optimized builder reads them on every pass, and a
+// scenario set-up should not pay a heap vector per node per pass.
+class UpstreamLists {
+ public:
+  UpstreamLists(const Connectivity& connectivity, const Rings& rings)
+      : begin_(connectivity.num_nodes() + 1, 0) {
+    std::vector<NodeId> up;
+    for (NodeId v = 0; v < connectivity.num_nodes(); ++v) {
+      begin_[v] = static_cast<uint32_t>(nodes_.size());
+      rings.UpstreamNeighbors(connectivity, v, &up);
+      nodes_.insert(nodes_.end(), up.begin(), up.end());
+    }
+    begin_.back() = static_cast<uint32_t>(nodes_.size());
+  }
+
+  std::span<const NodeId> of(NodeId v) const {
+    return {nodes_.data() + begin_[v], begin_[v + 1] - begin_[v]};
+  }
+
+ private:
+  std::vector<uint32_t> begin_;
+  std::vector<NodeId> nodes_;
+};
+
 // Initial attachment: every reachable node picks a parent among its
 // upstream (ring level-1) neighbors, uniformly at random. Processing level
 // by level guarantees parents are attached before children.
 Tree BuildStrictLevelTree(const Connectivity& connectivity, const Rings& rings,
-                          Rng* rng) {
+                          const UpstreamLists& upstream, Rng* rng) {
   Tree tree(connectivity.num_nodes(), rings.base());
   for (int level = 1; level <= rings.max_level(); ++level) {
     for (NodeId v : rings.NodesAtLevel(level)) {
-      std::vector<NodeId> up = rings.UpstreamNeighbors(connectivity, v);
+      std::span<const NodeId> up = upstream.of(v);
       // BFS levels guarantee at least one upstream neighbor.
       TD_CHECK(!up.empty());
       NodeId p = up[rng->NextBounded(up.size())];
@@ -33,9 +59,10 @@ Tree BuildStrictLevelTree(const Connectivity& connectivity, const Rings& rings,
 Tree BuildTagTree(const Connectivity& connectivity, const Rings& rings,
                   const TreeBuildOptions& options, Rng* rng) {
   Tree tree(connectivity.num_nodes(), rings.base());
+  std::vector<NodeId> up;
   for (int level = 1; level <= rings.max_level(); ++level) {
     for (NodeId v : rings.NodesAtLevel(level)) {
-      std::vector<NodeId> up = rings.UpstreamNeighbors(connectivity, v);
+      rings.UpstreamNeighbors(connectivity, v, &up);
       TD_CHECK(!up.empty());
       // Optionally pick a same-level neighbor instead. Restricting the
       // choice to neighbors with a smaller id that are already attached
@@ -62,7 +89,8 @@ Tree BuildTagTree(const Connectivity& connectivity, const Rings& rings,
 
 Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
                         const TreeBuildOptions& options, Rng* rng) {
-  Tree tree = BuildStrictLevelTree(connectivity, rings, rng);
+  const UpstreamLists upstream(connectivity, rings);
+  Tree tree = BuildStrictLevelTree(connectivity, rings, upstream, rng);
 
   const size_t n = connectivity.num_nodes();
   std::vector<bool> pinned(n, false);
@@ -70,6 +98,7 @@ Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
 
   Tree best = tree;
   double best_d = DominationFactor(ComputeHeightHistogram(best));
+  std::vector<NodeId> candidates;
 
   for (int round = 0; round < options.switching_rounds; ++round) {
     std::vector<int> height = tree.ComputeHeights();
@@ -78,25 +107,36 @@ Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
     // height pins two of them and flags itself (Lemma 2 with d = 2). We
     // prefer the highest such height so the locked-in structure reaches as
     // far down the tree as possible, and prefer already-flagged children
-    // (the "two flagged children" rule of the search loop).
+    // (the "two flagged children" rule of the search loop); ties keep the
+    // children's order.
     bool new_flags = false;
     for (NodeId x = 0; x < n; ++x) {
       if (flagged[x] || !tree.InTree(x)) continue;
-      std::map<int, std::vector<NodeId>> by_height;
-      for (NodeId c : tree.children(x)) by_height[height[c]].push_back(c);
-      for (auto it = by_height.rbegin(); it != by_height.rend(); ++it) {
-        auto& group = it->second;
-        if (group.size() < 2) continue;
-        std::stable_sort(group.begin(), group.end(),
-                         [&](NodeId a, NodeId b) {
-                           return flagged[a] > flagged[b];
-                         });
-        pinned[group[0]] = true;
-        pinned[group[1]] = true;
-        flagged[x] = true;
-        new_flags = true;
-        break;
+      const std::vector<NodeId>& kids = tree.children(x);
+      int pin_height = -1;  // highest height shared by two children
+      for (size_t i = 0; i < kids.size(); ++i) {
+        const int h = height[kids[i]];
+        if (h <= pin_height) continue;
+        for (size_t j = i + 1; j < kids.size(); ++j) {
+          if (height[kids[j]] == h) {
+            pin_height = h;
+            break;
+          }
+        }
       }
+      if (pin_height < 0) continue;
+      int pins = 0;
+      for (bool want_flagged : {true, false}) {
+        for (NodeId c : kids) {
+          if (pins < 2 && height[c] == pin_height &&
+              flagged[c] == want_flagged) {
+            pinned[c] = true;
+            ++pins;
+          }
+        }
+      }
+      flagged[x] = true;
+      new_flags = true;
     }
 
     // Switching pass: non-pinned nodes move to a random reachable
@@ -106,8 +146,8 @@ Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
     for (int level = 1; level <= rings.max_level(); ++level) {
       for (NodeId v : rings.NodesAtLevel(level)) {
         if (pinned[v]) continue;
-        std::vector<NodeId> candidates;
-        for (NodeId w : rings.UpstreamNeighbors(connectivity, v)) {
+        candidates.clear();
+        for (NodeId w : upstream.of(v)) {
           if (!flagged[w]) candidates.push_back(w);
         }
         if (candidates.empty()) continue;
@@ -133,7 +173,8 @@ Tree BuildOptimizedTree(const Connectivity& connectivity, const Rings& rings,
   // The final tree may beat the best recorded one (the loop records before
   // the last switching pass settles).
   double final_d = DominationFactor(ComputeHeightHistogram(tree));
-  return final_d >= best_d ? tree : best;
+  if (final_d >= best_d) return tree;
+  return best;
 }
 
 Tree BuildTagTree(const Connectivity& connectivity, const Rings& rings,
@@ -152,9 +193,10 @@ Tree BuildEtxTree(const Connectivity& connectivity, const Rings& rings,
                   const LinkCostFn& cost) {
   TD_CHECK(cost != nullptr);
   Tree tree(connectivity.num_nodes(), rings.base());
+  std::vector<NodeId> up;
   for (int level = 1; level <= rings.max_level(); ++level) {
     for (NodeId v : rings.NodesAtLevel(level)) {
-      std::vector<NodeId> up = rings.UpstreamNeighbors(connectivity, v);
+      rings.UpstreamNeighbors(connectivity, v, &up);
       // BFS levels guarantee at least one upstream neighbor.
       TD_CHECK(!up.empty());
       NodeId best = up.front();

@@ -96,7 +96,8 @@ TEST(SummaryTest, LocalSummaryExact) {
   Summary s = LocalSummary(MakeCounts({{1, 5}, {2, 3}}));
   EXPECT_EQ(s.n, 8u);
   EXPECT_DOUBLE_EQ(s.eps, 0.0);
-  EXPECT_DOUBLE_EQ(s.items.at(1), 5.0);
+  ASSERT_NE(s.Find(1), nullptr);
+  EXPECT_DOUBLE_EQ(*s.Find(1), 5.0);
 }
 
 TEST(SummaryTest, MergeAddsEstimatesAndCounts) {
@@ -104,16 +105,19 @@ TEST(SummaryTest, MergeAddsEstimatesAndCounts) {
   Summary b = LocalSummary(MakeCounts({{1, 2}, {2, 7}}));
   MergeSummaries(&a, b);
   EXPECT_EQ(a.n, 14u);
-  EXPECT_DOUBLE_EQ(a.items.at(1), 7.0);
-  EXPECT_DOUBLE_EQ(a.items.at(2), 7.0);
+  ASSERT_NE(a.Find(1), nullptr);
+  ASSERT_NE(a.Find(2), nullptr);
+  EXPECT_DOUBLE_EQ(*a.Find(1), 7.0);
+  EXPECT_DOUBLE_EQ(*a.Find(2), 7.0);
 }
 
 TEST(SummaryTest, PruneDropsLightItems) {
   Summary s = LocalSummary(MakeCounts({{1, 100}, {2, 1}}));
   MinMaxLoadGradient g(0.1, 2);
   PruneSummary(&s, g, 1);  // eps(1) = 0.05; decrement = 0.05*101 = 5.05
-  EXPECT_EQ(s.items.count(2), 0u);
-  EXPECT_NEAR(s.items.at(1), 100.0 - 5.05, 1e-9);
+  EXPECT_EQ(s.Find(2), nullptr);
+  ASSERT_NE(s.Find(1), nullptr);
+  EXPECT_NEAR(*s.Find(1), 100.0 - 5.05, 1e-9);
   EXPECT_NEAR(s.error_mass, 5.05, 1e-9);
 }
 
@@ -147,7 +151,7 @@ TEST_P(DeficiencyTest, EpsilonDeficiencyInvariantHolds) {
   // Sensors the base station cannot reach never enter the aggregation;
   // ground truth is over in-tree collections.
   for (NodeId v = 1; v < sc.deployment.size(); ++v) {
-    if (!sc.tree.InTree(v)) items.collection(v).clear();
+    if (!sc.tree.InTree(v)) items.Clear(v);
   }
 
   const double eps = 0.05;
@@ -171,7 +175,7 @@ TEST_P(DeficiencyTest, EpsilonDeficiencyInvariantHolds) {
   // Deficiency also bounds what may be MISSING: absent items must have
   // frequency <= eps * N.
   for (const auto& [u, c] : truth) {
-    if (root_summary.items.count(u) == 0) {
+    if (root_summary.Find(u) == nullptr) {
       EXPECT_LE(static_cast<double>(c),
                 eps * static_cast<double>(n_total) + 1e-6);
     }
@@ -185,7 +189,7 @@ TEST_P(DeficiencyTest, NoFalseNegativesAtSupportThreshold) {
   Rng rng(seed * 31 + 5);
   FillSharedZipfStreams(&items, 40, 1.3, 200, &rng);
   for (NodeId v = 1; v < sc.deployment.size(); ++v) {
-    if (!sc.tree.InTree(v)) items.collection(v).clear();
+    if (!sc.tree.InTree(v)) items.Clear(v);
   }
 
   const double eps = 0.02, support = 0.05;
@@ -340,8 +344,8 @@ MultipathFreqParams TestParams(double eps = 0.02) {
 TEST(MultipathFreqTest, GenerateClassMatchesLog) {
   MultipathFreq mp(TestParams());
   auto bank = mp.Generate(3, MakeCounts({{1, 100}, {2, 30}}));
-  ASSERT_EQ(bank.by_class.size(), 1u);
-  EXPECT_EQ(bank.by_class.begin()->first, 7);  // floor(log2(130)) = 7
+  ASSERT_EQ(bank.classes.size(), 1u);
+  EXPECT_EQ(bank.classes.front().cls, 7);  // floor(log2(130)) = 7
 }
 
 TEST(MultipathFreqTest, EmptyCollectionGivesEmptyBank) {
@@ -406,7 +410,7 @@ TEST(MultipathFreqTest, RisingThresholdPrunesLightItems) {
     mp.Fuse(&bank, mp.Generate(v, MakeCounts({{1, 500}, {1000 + v, 1}})));
   }
   size_t kept = 0;
-  for (const auto& [cls, syn] : bank.by_class) kept += syn.counters.size();
+  for (const FreqClassSynopsis& syn : bank.classes) kept += syn.items.size();
   EXPECT_LT(kept, 40u);  // light items culled
   auto ev = mp.Evaluate(bank);
   EXPECT_TRUE(ev.counts.count(1));  // heavy survives
@@ -420,7 +424,7 @@ TEST(MultipathFreqTest, ClassPromotionBoundsSynopsisCount) {
     mp.Fuse(&bank, mp.Generate(v, MakeCounts({{rng.NextBounded(50), 100}})));
   }
   // At most logN+1 classes may coexist.
-  EXPECT_LE(bank.by_class.size(),
+  EXPECT_LE(bank.classes.size(),
             static_cast<size_t>(mp.params().LogN() + 1));
 }
 
@@ -431,8 +435,7 @@ TEST(ConversionTest, SummaryConversionPreservesEstimates) {
   Summary s;
   s.n = 1000;
   s.eps = 0.01;
-  s.items[5] = 600.0;
-  s.items[6] = 300.0;
+  s.items = {{5, 600.0}, {6, 300.0}};
   auto bank = mp.ConvertSummary(42, s);
   auto ev = mp.Evaluate(bank);
   EXPECT_NEAR(ev.counts.at(5), 600.0, 300.0);
@@ -444,7 +447,7 @@ TEST(ConversionTest, ConvertedSynopsisIsDuplicateInsensitive) {
   MultipathFreq mp(TestParams());
   Summary s;
   s.n = 500;
-  s.items[5] = 400.0;
+  s.items = {{5, 400.0}};
   auto converted = mp.ConvertSummary(7, s);
   auto once = mp.EmptyBank();
   mp.Fuse(&once, converted);
@@ -460,7 +463,7 @@ TEST(ConversionTest, ConvertedFusesWithNativeSynopses) {
   MultipathFreq mp(TestParams(0.05));
   Summary s;
   s.n = 800;
-  s.items[5] = 700.0;
+  s.items = {{5, 700.0}};
   auto bank = mp.ConvertSummary(3, s);
   mp.Fuse(&bank, mp.Generate(9, MakeCounts({{5, 900}})));
   auto ev = mp.Evaluate(bank);

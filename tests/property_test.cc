@@ -277,7 +277,7 @@ TEST_P(SummaryEpsTest, ChainOfPrunesStaysDeficient) {
       ASSERT_GE(est, static_cast<double>(truth[u]) - eps * n - 1e-6);
     }
     for (const auto& [u, c] : truth) {
-      if (acc.items.count(u) == 0) {
+      if (acc.Find(u) == nullptr) {
         ASSERT_LE(static_cast<double>(c), eps * n + 1e-6);
       }
     }
@@ -353,15 +353,15 @@ TEST_P(MpFreqSweepTest, SynopsisSizeBounded) {
   for (NodeId v = 1; v <= 300; ++v) {
     mp.Fuse(&bank, mp.Generate(v, ItemCounts{{1, 200}, {100 + v, 1}}));
   }
-  EXPECT_LE(bank.by_class.size(),
+  EXPECT_LE(bank.classes.size(),
             static_cast<size_t>(params.LogN() + 1));
-  for (const auto& [cls, syn] : bank.by_class) {
+  for (const FreqClassSynopsis& syn : bank.classes) {
     // eta * logN / eps is the asymptotic counter budget per synopsis;
     // allow a constant factor for sketch noise.
     double budget =
         4.0 * eta * static_cast<double>(params.LogN()) / eps;
-    EXPECT_LE(static_cast<double>(syn.counters.size()), budget)
-        << "class " << cls;
+    EXPECT_LE(static_cast<double>(syn.items.size()), budget)
+        << "class " << syn.cls;
   }
 }
 

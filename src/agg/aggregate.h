@@ -10,8 +10,9 @@
 //      into a synopsis the multi-path scheme equates with the same inputs,
 //      so a multi-path node can consume tributary outputs obliviously.
 //
-// The engines (src/core/: SoaTreeAggregator, SoaMultipathAggregator,
-// SoaTributaryDeltaAggregator) are templated over this concept.
+// The one aggregation kernel (src/core/: SoaTributaryDeltaAggregator) is
+// templated over this concept; TAG uses only the tree algorithm, synopsis
+// diffusion only the multi-path one, Tributary-Delta all three.
 #ifndef TD_AGG_AGGREGATE_H_
 #define TD_AGG_AGGREGATE_H_
 

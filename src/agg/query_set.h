@@ -4,8 +4,8 @@
 // The paper's framework (Section 5) makes aggregates pluggable; real base
 // stations run many standing queries (Count, Sum, Avg, quantiles, ...) over
 // the *same* epoch of sensor traffic. QuerySetAggregate satisfies the
-// Aggregate concept itself, so all three engine templates compute a whole
-// query set with their hot loops unchanged: its TreePartial / Synopsis are
+// Aggregate concept itself, so the kernel computes a whole query set under
+// every strategy with its hot loops unchanged: its TreePartial / Synopsis are
 // per-query payload vectors, and every concept operation maps element-wise
 // onto the per-query operations behind a small vtable (QueryOps).
 //
@@ -318,7 +318,7 @@ class QuerySetAggregate {
 
 static_assert(Aggregate<QuerySetAggregate>,
               "QuerySetAggregate must satisfy the Aggregate concept so the "
-              "engine templates can run query sets unchanged");
+              "kernel can run query sets unchanged");
 
 }  // namespace td
 

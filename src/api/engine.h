@@ -1,10 +1,11 @@
-// The type-erased aggregation engine: one runtime interface over the three
-// engine class templates of src/core/ (SoaTreeAggregator,
-// SoaMultipathAggregator, SoaTributaryDeltaAggregator) so benches, examples
-// and sweeps can select a Strategy by value without re-wiring template
-// plumbing per scheme.
+// The type-erased aggregation engine: one runtime interface over the one
+// kernel class template of src/core/ (SoaTributaryDeltaAggregator) so
+// benches, examples and sweeps can select a Strategy by value without
+// re-wiring template plumbing per scheme. The strategy picks the kernel's
+// labelling: all-T for TAG and TAG+retx, all-M for synopsis diffusion,
+// adaptive for TD and TD-Coarse.
 //
-// The concrete impls wrap the engines without touching their hot loops;
+// The one concrete impl wraps the kernel without touching its hot loop;
 // type erasure costs one virtual dispatch per epoch (thousands of message
 // simulations), which is noise. Results come back as EpochResult, a
 // strategy- and aggregate-agnostic currency: numeric aggregates fill
@@ -20,9 +21,7 @@
 #include "agg/epoch_outcome.h"
 #include "agg/query_set.h"
 #include "api/strategy.h"
-#include "core/soa_multipath.h"
 #include "core/soa_td.h"
-#include "core/soa_tree.h"
 #include "freq/freq_aggregate.h"
 #include "net/network.h"
 #include "td/adaptation.h"
@@ -230,91 +229,19 @@ inline int TreeRetransmissions(const EngineOptions& options,
   return strategy == Strategy::kTagRetx ? 2 : 0;
 }
 
-template <Aggregate A>
-class SoaTreeEngine final : public Engine {
- public:
-  SoaTreeEngine(const Scenario* sc, std::shared_ptr<Network> network,
-                const A* aggregate, Strategy strategy,
-                const EngineOptions& options)
-      : network_(std::move(network)),
-        strategy_(strategy),
-        inner_(&sc->tree, network_.get(), aggregate,
-               typename SoaTreeAggregator<A>::Options{
-                   .extra_retransmissions =
-                       TreeRetransmissions(options, strategy),
-                   .capture_root = options.capture_root_state}) {}
-
-  EpochResult RunEpoch(uint32_t epoch) override {
-    return ToEpochResult(epoch, inner_.RunEpoch(epoch));
-  }
-  Strategy strategy() const override { return strategy_; }
-  Network& network() const override { return *network_; }
-  uint64_t nodes_reprocessed() const override {
-    return inner_.nodes_reprocessed();
-  }
-  void OnTopologyChanged() override { inner_.OnTopologyChanged(); }
-  RootState root_state() const override {
-    return RootState{inner_.root_partial(), nullptr};
-  }
-  ScratchStats scratch_stats() const override {
-    return inner_.scratch_stats();
-  }
-
- private:
-  std::shared_ptr<Network> network_;
-  Strategy strategy_;
-  SoaTreeAggregator<A> inner_;
-};
-
-template <Aggregate A>
-class SoaMultipathEngine final : public Engine {
- public:
-  SoaMultipathEngine(const Scenario* sc, std::shared_ptr<Network> network,
-                     const A* aggregate, const EngineOptions& options)
-      : network_(std::move(network)),
-        inner_(&sc->rings, network_.get(), aggregate,
-               typename SoaMultipathAggregator<A>::Options{
-                   .contrib_seed = options.contrib_seed,
-                   .capture_root = options.capture_root_state}) {}
-
-  EpochResult RunEpoch(uint32_t epoch) override {
-    return ToEpochResult(epoch, inner_.RunEpoch(epoch));
-  }
-  Strategy strategy() const override { return Strategy::kSynopsisDiffusion; }
-  Network& network() const override { return *network_; }
-  uint64_t nodes_reprocessed() const override {
-    return inner_.nodes_reprocessed();
-  }
-  void OnTopologyChanged() override { inner_.OnTopologyChanged(); }
-  RootState root_state() const override {
-    return RootState{nullptr, inner_.root_synopsis()};
-  }
-  ScratchStats scratch_stats() const override {
-    return inner_.scratch_stats();
-  }
-
- private:
-  std::shared_ptr<Network> network_;
-  SoaMultipathAggregator<A> inner_;
-};
-
+/// Every strategy on the one kernel: TAG and TAG+retx pin the labelling
+/// all-T, synopsis diffusion pins it all-M, TD and TD-Coarse adapt it.
 template <Aggregate A>
 class SoaTributaryDeltaEngine final : public Engine {
  public:
+  using Kernel = SoaTributaryDeltaAggregator<A>;
+
   SoaTributaryDeltaEngine(const Scenario* sc, std::shared_ptr<Network> network,
                           const A* aggregate, Strategy strategy,
                           const EngineOptions& options)
       : network_(std::move(network)),
         strategy_(strategy),
-        inner_(&sc->tree, &sc->rings, network_.get(), aggregate,
-               MakePolicy(strategy),
-               typename SoaTributaryDeltaAggregator<A>::Options{
-                   .adaptation = options.adaptation,
-                   .tree_extra_retransmissions =
-                       TreeRetransmissions(options, strategy),
-                   .contrib_seed = options.contrib_seed,
-                   .sensor_population = options.sensor_population,
-                   .capture_root = options.capture_root_state}) {}
+        inner_(MakeKernel(sc, network_.get(), aggregate, strategy, options)) {}
 
   EpochResult RunEpoch(uint32_t epoch) override {
     return ToEpochResult(epoch, inner_.RunEpoch(epoch));
@@ -336,18 +263,44 @@ class SoaTributaryDeltaEngine final : public Engine {
   ScratchStats scratch_stats() const override {
     return inner_.scratch_stats();
   }
-  const RegionState* region() const override { return &inner_.region(); }
-  RegionState* mutable_region() override { return &inner_.region(); }
+  const RegionState* region() const override {
+    return IsAdaptive(strategy_) ? &inner_.region() : nullptr;
+  }
+  RegionState* mutable_region() override {
+    return IsAdaptive(strategy_) ? &inner_.region() : nullptr;
+  }
 
  private:
-  static std::unique_ptr<AdaptationPolicy> MakePolicy(Strategy s) {
-    if (s == Strategy::kTdCoarse) return std::make_unique<TdCoarsePolicy>();
-    return std::make_unique<TdFinePolicy>();
+  static Kernel MakeKernel(const Scenario* sc, Network* network,
+                           const A* aggregate, Strategy strategy,
+                           const EngineOptions& options) {
+    const typename Kernel::Options kernel_options{
+        .adaptation = options.adaptation,
+        .tree_extra_retransmissions = TreeRetransmissions(options, strategy),
+        .contrib_seed = options.contrib_seed,
+        .sensor_population = options.sensor_population,
+        .capture_root = options.capture_root_state};
+    switch (strategy) {
+      case Strategy::kTag:
+      case Strategy::kTagRetx:
+        return Kernel(&sc->tree, &sc->rings, network, aggregate, Mode::kTree,
+                      kernel_options);
+      case Strategy::kSynopsisDiffusion:
+        return Kernel(&sc->tree, &sc->rings, network, aggregate,
+                      Mode::kMultipath, kernel_options);
+      case Strategy::kTdCoarse:
+        return Kernel(&sc->tree, &sc->rings, network, aggregate,
+                      std::make_unique<TdCoarsePolicy>(), kernel_options);
+      case Strategy::kTributaryDelta:
+        return Kernel(&sc->tree, &sc->rings, network, aggregate,
+                      std::make_unique<TdFinePolicy>(), kernel_options);
+    }
+    TD_CHECK_MSG(false, "unknown Strategy value");
   }
 
   std::shared_ptr<Network> network_;
   Strategy strategy_;
-  SoaTributaryDeltaAggregator<A> inner_;
+  Kernel inner_;
 };
 
 }  // namespace api_internal
@@ -364,21 +317,8 @@ std::unique_ptr<Engine> MakeEngine(Strategy strategy, const Scenario& scenario,
                                    EngineOptions options = {}) {
   TD_CHECK(network != nullptr);
   TD_CHECK(aggregate != nullptr);
-  switch (strategy) {
-    case Strategy::kTag:
-    case Strategy::kTagRetx:
-      return std::make_unique<api_internal::SoaTreeEngine<A>>(
-          &scenario, std::move(network), aggregate, strategy, options);
-    case Strategy::kSynopsisDiffusion:
-      return std::make_unique<api_internal::SoaMultipathEngine<A>>(
-          &scenario, std::move(network), aggregate, options);
-    case Strategy::kTributaryDelta:
-    case Strategy::kTdCoarse:
-      return std::make_unique<api_internal::SoaTributaryDeltaEngine<A>>(
-          &scenario, std::move(network), aggregate, strategy, options);
-  }
-  TD_CHECK_MSG(false, "unknown Strategy value");
-  return nullptr;
+  return std::make_unique<api_internal::SoaTributaryDeltaEngine<A>>(
+      &scenario, std::move(network), aggregate, strategy, options);
 }
 
 }  // namespace td

@@ -73,8 +73,13 @@ struct AdaptationFeedback {
   /// should fire only when the region is comfortably over-provisioned.
   double pct_contributing_raw = 0.0;
 
-  /// Per-frontier-node "nodes in my subtree that did not contribute",
-  /// restricted to reports that actually reached the base station.
+  /// Per-frontier-node "nodes in my subtree that did not contribute":
+  /// each frontier node's own count, node-local knowledge, not a report
+  /// that reached the base station. The engine fills it for every frontier
+  /// node of the epoch whenever any max/min report arrived (missing_valid).
+  /// This is how the paper's max/2 rule uses it: the base station
+  /// broadcasts the aggregated max (min), and each frontier node compares
+  /// its own count against it.
   std::map<NodeId, uint64_t> frontier_missing;
 
   /// Max/min over frontier_missing as aggregated in-network (the max/min

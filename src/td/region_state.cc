@@ -107,6 +107,20 @@ size_t RegionState::ShrinkAll() {
   return ms.size();
 }
 
+void RegionState::LabelAll(Mode mode) {
+  const NodeId root = tree_->root();
+  delta_size_ = 0;
+  num_active_ = 0;
+  for (NodeId v = 0; v < mode_.size(); ++v) {
+    const bool in_tree = tree_->InTree(v);
+    const bool m = v == root || (mode == Mode::kMultipath && in_tree);
+    mode_[v] = m ? Mode::kMultipath : Mode::kTree;
+    delta_size_ += m;
+    num_active_ += in_tree;
+  }
+  TD_DCHECK(CheckInvariants());
+}
+
 void RegionState::Resync() {
   const NodeId root = tree_->root();
   // The repaired tree must still satisfy the synchronization constraint;

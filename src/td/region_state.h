@@ -72,6 +72,11 @@ class RegionState {
   /// TD-Coarse shrink: every switchable M becomes T. Returns count.
   size_t ShrinkAll();
 
+  /// Labels every in-tree non-base vertex `mode` in one pass: kTree is a
+  /// pure tree (TAG), kMultipath a delta covering the whole tree (synopsis
+  /// diffusion). Vertices outside the tree stay T; the base stays M.
+  void LabelAll(Mode mode);
+
   /// Re-synchronizes the labelling after the tree and rings were repaired
   /// in place (churn). Surviving nodes keep their mode wherever the crown
   /// invariant allows; nodes that left the tree revert to T, and any M

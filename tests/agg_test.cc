@@ -1,14 +1,13 @@
 // Tests for src/agg: the aggregate implementations (Count, Sum, Min, Max,
-// Average, UniformSample), their conversion functions, and the tree /
-// multi-path engines.
+// Average, UniformSample), their conversion functions, and the kernel's
+// two pinned labellings: all-T (tree) and all-M (multi-path).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
 #include "agg/aggregates.h"
-#include "core/soa_multipath.h"
-#include "core/soa_tree.h"
+#include "core/soa_td.h"
 #include "net/network.h"
 #include "util/stats.h"
 #include "workload/scenario.h"
@@ -192,13 +191,14 @@ TEST(UniformSampleAggregateTest, QuantileFromSample) {
   EXPECT_NEAR(s.EstimateQuantile(0.5), 500.0, 150.0);
 }
 
-// ----------------------------------------------------- SoaTreeAggregator
+// ------------------------------------------- all-T kernel (TAG labelling)
 
 TEST(TreeAggregatorTest, LosslessCountIsExact) {
   Scenario sc = MakeSyntheticScenario(5, 150);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kTree);
   auto out = engine.RunEpoch(0);
   // Exact over every sensor the base station can reach.
   size_t reachable = sc.tree.num_in_tree() - 1;
@@ -211,7 +211,8 @@ TEST(TreeAggregatorTest, LosslessSumIsExact) {
   Scenario sc = MakeSyntheticScenario(6, 150);
   TestNet tn(&sc, 0.0);
   SumAggregate agg(IdReading);
-  SoaTreeAggregator<SumAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<SumAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kTree);
   double expected = 0;
   for (NodeId v = 1; v < sc.deployment.size(); ++v) {
     if (sc.tree.InTree(v)) expected += v;
@@ -223,7 +224,8 @@ TEST(TreeAggregatorTest, FullLossLosesEverything) {
   Scenario sc = MakeSyntheticScenario(7, 100);
   TestNet tn(&sc, 1.0);
   CountAggregate agg;
-  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kTree);
   auto out = engine.RunEpoch(0);
   EXPECT_DOUBLE_EQ(out.result, 0.0);
   EXPECT_EQ(out.true_contributing, 0u);
@@ -233,7 +235,8 @@ TEST(TreeAggregatorTest, LossDropsSubtrees) {
   Scenario sc = MakeSyntheticScenario(8, 300);
   TestNet tn(&sc, 0.25);
   CountAggregate agg;
-  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kTree);
   RunningStat contrib;
   for (uint32_t e = 0; e < 30; ++e) {
     auto out = engine.RunEpoch(e);
@@ -251,7 +254,8 @@ TEST(TreeAggregatorTest, OneTransmissionPerNodePerEpoch) {
   Scenario sc = MakeSyntheticScenario(9, 120);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  SoaTreeAggregator<CountAggregate> engine(&sc.tree, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kTree);
   engine.RunEpoch(0);
   EXPECT_EQ(tn.network.total_energy().transmissions,
             sc.tree.num_in_tree() - 1);
@@ -261,11 +265,13 @@ TEST(TreeAggregatorTest, RetransmissionsRecoverLosses) {
   Scenario sc = MakeSyntheticScenario(10, 200);
   CountAggregate agg;
   TestNet tn1(&sc, 0.3, 42);
-  SoaTreeAggregator<CountAggregate> plain(&sc.tree, &tn1.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> plain(
+      &sc.tree, &sc.rings, &tn1.network, &agg, Mode::kTree);
   TestNet tn2(&sc, 0.3, 42);
-  SoaTreeAggregator<CountAggregate> retry(
-      &sc.tree, &tn2.network, &agg,
-      SoaTreeAggregator<CountAggregate>::Options{.extra_retransmissions = 2});
+  SoaTributaryDeltaAggregator<CountAggregate>::Options retx;
+  retx.tree_extra_retransmissions = 2;
+  SoaTributaryDeltaAggregator<CountAggregate> retry(
+      &sc.tree, &sc.rings, &tn2.network, &agg, Mode::kTree, retx);
   double plain_sum = 0, retry_sum = 0;
   for (uint32_t e = 0; e < 20; ++e) {
     plain_sum += plain.RunEpoch(e).result;
@@ -274,13 +280,14 @@ TEST(TreeAggregatorTest, RetransmissionsRecoverLosses) {
   EXPECT_GT(retry_sum, plain_sum * 1.3);
 }
 
-// ------------------------------------------------ SoaMultipathAggregator
+// --------------------------------------------- all-M kernel (SD labelling)
 
 TEST(MultipathAggregatorTest, LosslessCountNearExact) {
   Scenario sc = MakeSyntheticScenario(11, 300);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  SoaMultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kMultipath);
   auto out = engine.RunEpoch(0);
   size_t reachable = sc.rings.num_reachable() - 1;
   EXPECT_EQ(out.true_contributing, reachable);
@@ -294,7 +301,8 @@ TEST(MultipathAggregatorTest, RobustUnderHeavyLoss) {
   Scenario sc = MakeSyntheticScenario(12, 600);
   TestNet tn(&sc, 0.3);
   CountAggregate agg;
-  SoaMultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kMultipath);
   RunningStat contrib;
   for (uint32_t e = 0; e < 20; ++e) {
     contrib.Add(static_cast<double>(engine.RunEpoch(e).true_contributing));
@@ -306,7 +314,8 @@ TEST(MultipathAggregatorTest, OneBroadcastPerNodePerEpoch) {
   Scenario sc = MakeSyntheticScenario(13, 150);
   TestNet tn(&sc, 0.0);
   CountAggregate agg;
-  SoaMultipathAggregator<CountAggregate> engine(&sc.rings, &tn.network, &agg);
+  SoaTributaryDeltaAggregator<CountAggregate> engine(
+      &sc.tree, &sc.rings, &tn.network, &agg, Mode::kMultipath);
   engine.RunEpoch(0);
   EXPECT_EQ(tn.network.total_energy().transmissions,
             sc.rings.num_reachable() - 1);
@@ -322,10 +331,12 @@ TEST(MultipathAggregatorTest, TreeBeatsMultipathAtZeroLossAndViceVersa) {
     TestNet tn(&sc, loss, 1234);
     std::vector<double> est;
     if (tree) {
-      SoaTreeAggregator<CountAggregate> e(&sc.tree, &tn.network, &agg);
+      SoaTributaryDeltaAggregator<CountAggregate> e(
+          &sc.tree, &sc.rings, &tn.network, &agg, Mode::kTree);
       for (uint32_t t = 0; t < 25; ++t) est.push_back(e.RunEpoch(t).result);
     } else {
-      SoaMultipathAggregator<CountAggregate> e(&sc.rings, &tn.network, &agg);
+      SoaTributaryDeltaAggregator<CountAggregate> e(
+          &sc.tree, &sc.rings, &tn.network, &agg, Mode::kMultipath);
       for (uint32_t t = 0; t < 25; ++t) est.push_back(e.RunEpoch(t).result);
     }
     return RelativeRmsError(est, truth);

@@ -18,9 +18,7 @@
 #include "agg/aggregates.h"
 #include "agg/query_set.h"
 #include "api/experiment.h"
-#include "core/soa_multipath.h"
 #include "core/soa_td.h"
-#include "core/soa_tree.h"
 #include "net/network.h"
 #include "util/stats.h"
 #include "workload/dynamics.h"
@@ -64,19 +62,22 @@ std::vector<GoldenRow> RunDirect(Strategy strategy, const Scenario& sc,
   };
   switch (strategy) {
     case Strategy::kTag: {
-      SoaTreeAggregator<A> eng(&sc.tree, &net, &agg);
+      SoaTributaryDeltaAggregator<A> eng(
+          &sc.tree, &sc.rings, &net, &agg, Mode::kTree);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kTagRetx: {
-      SoaTreeAggregator<A> eng(
-          &sc.tree, &net, &agg,
-          typename SoaTreeAggregator<A>::Options{.extra_retransmissions = 2});
+      typename SoaTributaryDeltaAggregator<A>::Options retx;
+      retx.tree_extra_retransmissions = 2;
+      SoaTributaryDeltaAggregator<A> eng(&sc.tree, &sc.rings, &net, &agg,
+                                         Mode::kTree, retx);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }
     case Strategy::kSynopsisDiffusion: {
-      SoaMultipathAggregator<A> eng(&sc.rings, &net, &agg);
+      SoaTributaryDeltaAggregator<A> eng(
+          &sc.tree, &sc.rings, &net, &agg, Mode::kMultipath);
       for (uint32_t e = 0; e < epochs; ++e) push(eng.RunEpoch(e));
       break;
     }

@@ -1,16 +1,18 @@
 // Tests for src/td: region state invariants (Properties 1-2, Observation 1,
 // Lemma 1), the TD-Coarse / TD adaptation strategies, oscillation damping,
-// and the Tributary-Delta engine.
+// the Tributary-Delta engine, and TAG / SD as its two pinned labellings.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "agg/aggregates.h"
+#include "api/experiment.h"
 #include "core/soa_td.h"
 #include "net/network.h"
 #include "td/adaptation.h"
 #include "td/region_state.h"
 #include "util/stats.h"
+#include "workload/dynamics.h"
 #include "workload/scenario.h"
 
 namespace td {
@@ -436,6 +438,120 @@ TEST(TdEngineTest, CombinedBeatsPureSchemesAtModerateLoss) {
   // targets 90% contributing, so up to ~10% communication error is within
   // contract; allow 2x of the best pure scheme).
   EXPECT_LT(td_rms, 2.0 * std::min(tree_rms, mp_rms));
+}
+
+// ------------------------------------- TAG and SD: TD's two labellings --
+
+using CountKernel = SoaTributaryDeltaAggregator<CountAggregate>;
+
+/// Runs two kernels on twin networks (same loss, same seed) for `epochs`
+/// epochs and expects bit-identical answers and contributor counts.
+void ExpectSameAnswers(CountKernel* a, CountKernel* b, uint32_t epochs) {
+  for (uint32_t e = 0; e < epochs; ++e) {
+    auto oa = a->RunEpoch(e);
+    auto ob = b->RunEpoch(e);
+    EXPECT_EQ(oa.result, ob.result) << "epoch " << e;
+    EXPECT_EQ(oa.true_contributing, ob.true_contributing) << "epoch " << e;
+    EXPECT_EQ(oa.reported_contributing, ob.reported_contributing)
+        << "epoch " << e;
+  }
+}
+
+TEST(TdLabellingTest, ExpandedStaticRegionIsSdPlusPiggyback) {
+  Scenario sc = MakeSyntheticScenario(17, 300);
+  auto loss = std::make_shared<GlobalLoss>(0.2);
+  Network td_net(&sc.deployment, &sc.connectivity, loss, 31);
+  Network sd_net(&sc.deployment, &sc.connectivity, loss, 31);
+  CountAggregate agg;
+  auto td = MakeTdEngine<StaticPolicy>(&sc, &td_net, &agg);
+  while (td.region().ExpandAll() > 0) {
+  }
+  CountKernel sd(&sc.tree, &sc.rings, &sd_net, &agg, Mode::kMultipath);
+  EXPECT_EQ(td.region().delta_size(), sd.region().delta_size());
+  ExpectSameAnswers(&td, &sd, 20);
+  // Same broadcasts; each carries the 2 x 8-byte frontier max/min.
+  const EnergyStats td_e = td_net.total_energy();
+  const EnergyStats sd_e = sd_net.total_energy();
+  EXPECT_EQ(td_e.transmissions, sd_e.transmissions);
+  EXPECT_EQ(td_e.bytes, sd_e.bytes + 16 * sd_e.transmissions);
+}
+
+TEST(TdLabellingTest, InitialAllTreeRegionIsTagAtZeroLoss) {
+  Scenario sc = MakeSyntheticScenario(18, 300);
+  auto loss = std::make_shared<GlobalLoss>(0.0);
+  Network td_net(&sc.deployment, &sc.connectivity, loss, 32);
+  Network tag_net(&sc.deployment, &sc.connectivity, loss, 32);
+  CountAggregate agg;
+  auto td = MakeTdEngine<StaticPolicy>(&sc, &td_net, &agg);
+  CountKernel tag(&sc.tree, &sc.rings, &tag_net, &agg, Mode::kTree);
+  ExpectSameAnswers(&td, &tag, 10);
+  EXPECT_EQ(td.region().delta_size(), 1u);
+  EXPECT_EQ(td_net.total_energy().transmissions,
+            tag_net.total_energy().transmissions);
+  EXPECT_EQ(td_net.total_energy().bytes, tag_net.total_energy().bytes);
+}
+
+TEST(TdLabellingTest, PinnedLabellingsSurviveChurnRepairs) {
+  Scenario sc = MakeSyntheticScenario(23, 150);
+  DynamicsConfig config;
+  config.churn = ChurnConfig{
+      .fail_rate = 0.03, .mean_downtime = 5.0, .max_dead_fraction = 0.5};
+  config.horizon = 60;
+  DynamicScenario dyn(&sc, config, 8);
+  Network net(&sc.deployment, &sc.connectivity,
+              std::make_shared<GlobalLoss>(0.1), 2);
+  CountAggregate agg;
+  CountKernel tag(&sc.tree, &sc.rings, &net, &agg, Mode::kTree);
+  CountKernel sd(&sc.tree, &sc.rings, &net, &agg, Mode::kMultipath);
+  size_t repairs = 0;
+  for (uint32_t e = 0; e < config.horizon; ++e) {
+    if (dyn.Advance(e, &net).topology_changed) {
+      ++repairs;
+      tag.OnTopologyChanged();
+      sd.OnTopologyChanged();
+    }
+    tag.RunEpoch(e);
+    sd.RunEpoch(e);
+  }
+  size_t rejoins = 0;
+  for (const DynEvent& ev : dyn.events()) {
+    rejoins += ev.kind == DynEventKind::kRejoin && ev.epoch < config.horizon;
+  }
+  ASSERT_GT(repairs, 0u);
+  ASSERT_GT(rejoins, 0u);
+  for (NodeId v = 1; v < sc.deployment.size(); ++v) {
+    if (!sc.tree.InTree(v)) continue;
+    EXPECT_TRUE(tag.region().IsT(v)) << v;
+    EXPECT_TRUE(sd.region().IsM(v)) << v;
+  }
+  EXPECT_EQ(tag.region().delta_size(), 1u);
+  EXPECT_EQ(sd.region().delta_size(), sc.tree.num_in_tree());
+  EXPECT_TRUE(sd.region().CheckInvariants());
+}
+
+TEST(TdLabellingTest, PinnedEnginesExposeNoRegionOrStats) {
+  for (Strategy s : {Strategy::kTag, Strategy::kTagRetx,
+                     Strategy::kSynopsisDiffusion}) {
+    DynamicsConfig config;
+    config.churn = ChurnConfig{
+        .fail_rate = 0.03, .mean_downtime = 5.0, .max_dead_fraction = 0.5};
+    Experiment exp = Experiment::Builder()
+                         .Synthetic(5, 200)
+                         .Aggregate(AggregateKind::kCount)
+                         .Strategy(s)
+                         .GlobalLossRate(0.3)
+                         .Dynamics(config)
+                         .AdaptPeriod(2)
+                         .Epochs(40)
+                         .Build();
+    for (uint32_t e = 0; e < 40; ++e) exp.StepEpoch(e);
+    const Engine& engine = exp.engine();
+    EXPECT_EQ(engine.stats().decisions, 0u) << StrategyName(s);
+    EXPECT_EQ(engine.stats().expansions, 0u) << StrategyName(s);
+    EXPECT_EQ(engine.stats().shrinks, 0u) << StrategyName(s);
+    EXPECT_EQ(engine.region(), nullptr) << StrategyName(s);
+    EXPECT_EQ(engine.delta_size(), 0u) << StrategyName(s);
+  }
 }
 
 }  // namespace

@@ -76,12 +76,11 @@ With --telemetry BENCH_micro.json the tool gates the flight-recorder cost
 rows written by bench_micro --telemetry: both bit-identity flags must be
 exactly 1 (telemetry off is deterministic across two fresh runs, and a
 telemetry-on run reproduced the off run's every estimate/byte/retry
-counter bit-for-bit), and with --telemetry-baseline BASELINE the
-telemetry-off epoch time is held against the committed pre-telemetry
-td_epoch_us within --max-telemetry-off-overhead percent (default 2.0),
-machine-calibrated by the tree_epoch_us ratio like the main gate.
-Without a baseline the overhead comparison is skipped and only the exact
-flags gate.
+counter bit-for-bit), and the telemetry-off epoch must cost at most
+--max-telemetry-off-overhead percent (default 2.0) more than the raw
+engine epoch. bench_micro times both arms in lockstep blocks on the same
+machine and reports the median per-block ratio, so no baseline file or
+calibration counter is needed.
 
 Exit codes: 0 ok, 1 regression, 2 usage/parse error.
 """
@@ -461,16 +460,16 @@ def check_scaling(path, max_1m_epoch_ms):
     return failures
 
 
-def check_telemetry(path, baseline_path, max_overhead_pct,
-                    max_machine_factor):
+def check_telemetry(path, max_overhead_pct):
     """Gate the telemetry_* rows of BENCH_micro.json: exact off-determinism
-    and off==on bit-identity flags, plus (with a baseline) the telemetry-off
-    epoch time within max_overhead_pct of the pre-telemetry td_epoch_us.
-    Returns failure strings."""
+    and off==on bit-identity flags, plus the telemetry-off epoch within
+    max_overhead_pct of the raw engine epoch timed beside it. Returns
+    failure strings."""
     metrics, _ = load_metrics(path)
     failures = []
     required = [
-        "telemetry_off_td_epoch_us", "telemetry_on_td_epoch_us",
+        "telemetry_raw_td_epoch_us", "telemetry_off_td_epoch_us",
+        "telemetry_on_td_epoch_us", "telemetry_off_overhead_pct",
         "telemetry_off_deterministic", "telemetry_offon_match",
     ]
     missing = [m for m in required if m not in metrics]
@@ -478,10 +477,11 @@ def check_telemetry(path, baseline_path, max_overhead_pct,
         return [f"telemetry rows missing from {path}: {', '.join(missing)} "
                 f"(was bench_micro run with --telemetry?)"]
 
+    raw_us = metrics["telemetry_raw_td_epoch_us"]
     off_us = metrics["telemetry_off_td_epoch_us"]
     on_us = metrics["telemetry_on_td_epoch_us"]
-    print(f"telemetry gate: {path}, off {off_us:.1f} us/epoch, "
-          f"on {on_us:.1f} us/epoch "
+    print(f"telemetry gate: {path}, raw {raw_us:.1f} us/epoch, "
+          f"off {off_us:.1f} us/epoch, on {on_us:.1f} us/epoch "
           f"({(on_us / off_us - 1.0) * 100.0:+.2f}%), exact flags")
     if metrics["telemetry_off_deterministic"] != 1:
         failures.append("two fresh telemetry-off runs diverged -- the "
@@ -490,37 +490,14 @@ def check_telemetry(path, baseline_path, max_overhead_pct,
         failures.append("a telemetry-on run changed the simulation output "
                         "-- the observe-only contract broke")
 
-    if baseline_path is None:
-        print("  (no --telemetry-baseline; off-overhead comparison skipped)")
-        return failures
-    baseline, _ = load_metrics(baseline_path)
-    # The TAG Count epoch never reaches the bank RLE codec (its tree
-    # partials are fixed-size), so kernel speedups cannot read as a faster
-    # machine.
-    cal = "tree_epoch_us"
-    if ("td_epoch_us" not in baseline or cal not in baseline
-            or cal not in metrics or baseline[cal] <= 0):
-        failures.append(f"baseline {baseline_path} lacks td_epoch_us or "
-                        f"{cal}; cannot price the off-overhead")
-        return failures
-    scale = metrics[cal] / baseline[cal]
-    print(f"  calibration: {cal} machine factor {scale:.2f}x")
-    if not 1.0 / max_machine_factor <= scale <= max_machine_factor:
-        failures.append(
-            f"calibration factor {scale:.2f}x outside sanity bound "
-            f"{max_machine_factor}x -- baseline and runner are not "
-            f"comparable (or {cal} itself regressed badly)")
-        return failures
-    expected_us = baseline["td_epoch_us"] * scale
-    overhead_pct = (off_us / expected_us - 1.0) * 100.0
-    print(f"  off vs pre-telemetry baseline: {off_us:.1f} us vs "
-          f"{expected_us:.1f} us expected ({overhead_pct:+.2f}%, "
-          f"gate +{max_overhead_pct:g}%)")
+    overhead_pct = metrics["telemetry_off_overhead_pct"]
+    print(f"  off vs raw engine, median block: {overhead_pct:+.2f}% "
+          f"(gate +{max_overhead_pct:g}%)")
     if overhead_pct > max_overhead_pct:
         failures.append(
-            f"telemetry-off epoch is {overhead_pct:.2f}% over the "
-            f"pre-telemetry baseline (gate {max_overhead_pct:g}%) -- the "
-            f"dormant hooks are not free")
+            f"telemetry-off epoch is {overhead_pct:.2f}% over the raw "
+            f"engine epoch (gate {max_overhead_pct:g}%) -- the dormant "
+            f"hooks are not free")
     return failures
 
 
@@ -580,13 +557,10 @@ def main():
                         help="gate the telemetry_* rows of a "
                              "BENCH_micro.json written by bench_micro "
                              "--telemetry")
-    parser.add_argument("--telemetry-baseline", metavar="JSON", default=None,
-                        help="pre-telemetry baseline json holding "
-                             "td_epoch_us; enables the off-overhead check")
     parser.add_argument("--max-telemetry-off-overhead", type=float,
                         default=2.0,
-                        help="max telemetry-off slowdown vs the baseline "
-                             "td_epoch_us, in percent (default 2.0)")
+                        help="max telemetry-off slowdown vs the raw "
+                             "engine epoch, in percent (default 2.0)")
     args = parser.parse_args()
 
     ran_gate = False
@@ -647,9 +621,8 @@ def main():
         print("scaling gate: OK")
     if args.telemetry:
         ran_gate = True
-        failures = check_telemetry(args.telemetry, args.telemetry_baseline,
-                                   args.max_telemetry_off_overhead,
-                                   args.max_machine_factor)
+        failures = check_telemetry(args.telemetry,
+                                   args.max_telemetry_off_overhead)
         if failures:
             print("\nFAILED:", file=sys.stderr)
             for f in failures:

@@ -26,6 +26,7 @@
 
 #include "agg/aggregates.h"
 #include "api/engine.h"
+#include "api/gateway.h"
 #include "api/query.h"
 #include "freq/item_source.h"
 #include "freq/multipath_freq.h"
@@ -206,24 +207,26 @@ class Experiment {
 
   /// The stepping interface for epoch-by-epoch call sites (timelines,
   /// region-map dumps, engines sharing one network).
-  Engine& engine() { return *engine_; }
-  const Scenario& scenario() const { return *scenario_; }
-  Network& network() { return *network_; }
+  Engine& engine() { return gateway_.engine(); }
+  const Scenario& scenario() const { return gateway_.scenario(); }
+  Network& network() { return gateway_.network(); }
 
   /// The dynamic-scenario driver, or nullptr for static experiments.
-  DynamicScenario* dynamics() { return dynamics_.get(); }
+  DynamicScenario* dynamics() { return gateway_.dynamics(); }
 
   /// The link-quality map, or nullptr without LinkLayer().
-  const LinkQualityMap* link_quality() const { return link_quality_.get(); }
+  const LinkQualityMap* link_quality() const {
+    return gateway_.link_quality();
+  }
 
   /// The route ager, or nullptr without LinkLayer aging.
-  RouteAger* route_ager() { return route_ager_.get(); }
+  RouteAger* route_ager() { return gateway_.route_ager(); }
 
   /// The telemetry sink, or nullptr without Builder::Telemetry().
   obs::TelemetrySink* telemetry() { return telemetry_.get(); }
 
-  /// Runs one epoch through the facade: applies the epoch's dynamic events
-  /// (when any), notifies the engine of topology repairs, then aggregates.
+  /// Runs one epoch through the facade: the gateway step (dynamics,
+  /// aggregation, route aging), then the base-station windows and groups.
   /// Stepping call sites must visit epochs in increasing order.
   EpochResult StepEpoch(uint32_t epoch);
 
@@ -234,20 +237,10 @@ class Experiment {
  private:
   Experiment() = default;
 
-  std::unique_ptr<td::Scenario> owned_scenario_;
-  const td::Scenario* scenario_ = nullptr;
-  std::shared_ptr<td::Network> network_;
-  std::shared_ptr<const td::LinkQualityMap> link_quality_;
-  std::unique_ptr<td::RouteAger> route_ager_;
-  std::shared_ptr<void> aggregate_;  // keep-alive for the engine's aggregate
-  std::unique_ptr<td::Engine> engine_;
-  std::shared_ptr<td::DynamicScenario> dynamics_;
+  // The one base station: a single engine is the one-gateway federation.
+  Gateway gateway_;
   std::shared_ptr<obs::TelemetrySink> telemetry_;
-  // Engine-adjacent observation state: last-seen cumulative counters so
-  // StepEpoch can emit per-epoch deltas (mode switches, reroutes, SoA
-  // cache misses) without the engines knowing about telemetry.
-  EngineStats obs_prev_stats_;
-  uint64_t obs_prev_reprocessed_ = 0;
+  // Last-seen cumulative per-node radio bytes, for node_energy_series.
   std::vector<uint64_t> obs_node_bytes_prev_;
   uint32_t warmup_ = 0;
   uint32_t epochs_ = 0;
@@ -285,23 +278,21 @@ class Experiment {
   bool any_group_ = false;
 };
 
-class Experiment::Builder {
+/// Scenario, readings, telemetry, seeding and run length come from
+/// RunBuilder (api/gateway.h), shared with the federation builder.
+class Experiment::Builder : public RunBuilder<Experiment::Builder> {
  public:
   Builder() = default;
-
-  // ------------------------------------------------------------ scenario
-  /// Uses an externally owned scenario (must outlive the Experiment).
-  Builder& Scenario(const td::Scenario* scenario);
-  /// Builds and owns the paper's Synthetic scenario.
-  Builder& Synthetic(uint64_t seed, size_t num_sensors = 600);
-  /// Builds and owns the LabData scenario.
-  Builder& Lab(uint64_t seed);
 
   // ----------------------------------------------------------- aggregate
   /// Runs a single aggregate of `kind`: sugar for a one-query set (and
   /// bit-identical to it -- see DESIGN.md "Multi-query execution").
   /// Mutually exclusive with AddQuery.
-  Builder& Aggregate(AggregateKind kind);
+  Builder& Aggregate(AggregateKind kind) {
+    kind_ = kind;
+    kind_set_ = true;
+    return *this;
+  }
   /// Appends one standing query to the experiment's query set; repeatable.
   /// All queries in the set are computed in a single engine pass per
   /// epoch, sharing message headers (and the multi-path piggyback) so the
@@ -309,26 +300,28 @@ class Experiment::Builder {
   /// kFrequentItems may join. Results come back per query in
   /// RunResult.queries[] (and EpochResult.query_values).
   Builder& AddQuery(td::Query query);
-  /// Index (into AddQuery order) of the primary query: the one whose
-  /// answer fills EpochResult.value, whose truth drives RunResult.rms, and
-  /// which stands for the set wherever one scalar is reported. Default 0.
-  Builder& PrimaryQuery(size_t index);
-  /// Integer reading (Sum / Avg / UniqueCount; also Min/Max via cast).
-  Builder& Reading(UintReadingFn reading);
-  /// Real-valued reading (Min / Max); overrides Reading for those kinds.
-  Builder& RealReading(RealReadingFn reading);
   /// Item collections (FrequentItems; must outlive the Experiment).
-  Builder& Items(const ItemSource* items);
+  Builder& Items(const ItemSource* items) {
+    items_ = items;
+    return *this;
+  }
   /// Tree-side precision gradient (FrequentItems). Defaults to
   /// MinTotalLoadGradient(FreqParams().eps, measured domination factor).
-  Builder& Gradient(std::shared_ptr<PrecisionGradient> gradient);
+  Builder& Gradient(std::shared_ptr<PrecisionGradient> gradient) {
+    gradient_ = std::move(gradient);
+    return *this;
+  }
   /// Multi-path parameters (FrequentItems).
-  Builder& FreqParams(MultipathFreqParams params);
-  /// FM sketch bitmaps for Count/Sum/Avg/UniqueCount synopses.
-  Builder& SketchBitmaps(int bitmaps);
+  Builder& FreqParams(MultipathFreqParams params) {
+    freq_params_ = params;
+    return *this;
+  }
 
   // ------------------------------------------------------------ strategy
-  Builder& Strategy(td::Strategy strategy);
+  Builder& Strategy(td::Strategy strategy) {
+    strategy_ = strategy;
+    return *this;
+  }
   /// No-op: every strategy runs on the one engine core. Kept only for
   /// bench/suite/workloads.cc, which calls it; goes with the next change
   /// to the benchmark suite.
@@ -336,14 +329,35 @@ class Experiment::Builder {
   /// Captures the base station's root aggregate state every epoch (see
   /// Engine::root_state). Implied by windowed and grouped queries; the
   /// federation tier sets EngineOptions::capture_root_state directly.
-  Builder& CaptureRootState(bool capture = true);
-  Builder& Options(EngineOptions options);
-  Builder& Adaptation(AdaptationConfig config);
-  Builder& AdaptPeriod(uint32_t period);
-  Builder& Threshold(double threshold);
-  Builder& Damping(bool on);
+  Builder& CaptureRootState(bool capture = true) {
+    capture_root_state_ = capture;
+    return *this;
+  }
+  Builder& Options(EngineOptions options) {
+    options_ = options;
+    return *this;
+  }
+  Builder& Adaptation(AdaptationConfig config) {
+    options_.adaptation = config;
+    return *this;
+  }
+  Builder& AdaptPeriod(uint32_t period) {
+    options_.adaptation.period = period;
+    return *this;
+  }
+  Builder& Threshold(double threshold) {
+    options_.adaptation.threshold = threshold;
+    return *this;
+  }
+  Builder& Damping(bool on) {
+    options_.adaptation.damping = on;
+    return *this;
+  }
   /// Extra tree retransmissions (overrides the strategy default).
-  Builder& TreeRetries(int extra);
+  Builder& TreeRetries(int extra) {
+    options_.tree_extra_retransmissions = extra;
+    return *this;
+  }
 
   // ------------------------------------------------------------- dynamics
   /// Evolves the scenario across epochs (churn, bursty loss, duty cycles,
@@ -353,7 +367,10 @@ class Experiment::Builder {
   /// stay bit-identical for any thread count. Incompatible with Network()
   /// sharing and with kFrequentItems. A zero config.horizon is filled in
   /// with Warmup() + Epochs().
-  Builder& Dynamics(DynamicsConfig config);
+  Builder& Dynamics(DynamicsConfig config) {
+    dynamics_ = std::move(config);
+    return *this;
+  }
 
   // ------------------------------------------------------------ link layer
   /// Realistic link layer (src/link/): a persistent per-link quality map
@@ -365,48 +382,42 @@ class Experiment::Builder {
   /// draws keep the per-trial network seed. Supplies the loss model, so it
   /// excludes LossModel()/GlobalLossRate() and shared Network(); aging is
   /// additionally incompatible with Dynamics().
-  Builder& LinkLayer(LinkLayerConfig config);
-
-  // ------------------------------------------------------------ telemetry
-  /// Attaches a telemetry sink (src/obs/): named metric series mirroring
-  /// the energy/retry counters (totals and per-ring), a bounded
-  /// flight-recorder event ring (retry outcomes, repairs, TD mode
-  /// switches, reroutes), a TD_PROFILE_SCOPE phase profile, and the
-  /// RunResult.node_energy / top_energy_nodes surface. Telemetry only
-  /// observes -- results stay bit-identical to a telemetry-off run -- and
-  /// off costs a null check per transmission. Incompatible with a shared
-  /// Network() (the sink would tally foreign traffic).
-  Builder& Telemetry(obs::TelemetryConfig config = {});
+  Builder& LinkLayer(LinkLayerConfig config) {
+    link_layer_ = std::move(config);
+    return *this;
+  }
 
   // -------------------------------------------------------------- network
-  Builder& LossModel(std::shared_ptr<td::LossModel> model);
+  Builder& LossModel(std::shared_ptr<td::LossModel> model) {
+    loss_ = std::move(model);
+    return *this;
+  }
   /// Loss model built against the resolved scenario (for RegionalLoss-style
   /// models that need the deployment).
   Builder& LossModel(
       std::function<std::shared_ptr<td::LossModel>(const td::Scenario&)>
-          factory);
-  Builder& GlobalLossRate(double p);
-  Builder& NetworkSeed(uint64_t seed);
+          factory) {
+    loss_factory_ = std::move(factory);
+    return *this;
+  }
+  Builder& GlobalLossRate(double p) {
+    loss_ = std::make_shared<GlobalLoss>(p);
+    return *this;
+  }
   /// Shares an existing network (and its RNG / energy accounting) instead
   /// of building one; excludes LossModel / NetworkSeed.
-  Builder& Network(std::shared_ptr<td::Network> network);
+  Builder& Network(std::shared_ptr<td::Network> network) {
+    shared_network_ = std::move(network);
+    return *this;
+  }
 
   // ----------------------------------------------------------------- run
-  Builder& Warmup(uint32_t epochs);
-  Builder& Epochs(uint32_t epochs);
   /// Ground truth per epoch; defaults are derived from the aggregate kind
   /// and reading function (none for FrequentItems).
-  Builder& Truth(std::function<double(uint32_t)> truth);
-
-  // ------------------------------------------------------- trial sweeps
-  /// Number of Monte Carlo trials RunTrials runs. Each trial gets its own
-  /// engine, network and RNG stream, seeded from (NetworkSeed, trial).
-  Builder& Trials(uint32_t trials);
-  /// Worker threads for RunTrials; 0 (the default) means
-  /// std::thread::hardware_concurrency(). Results are independent of the
-  /// thread count: trials never share mutable state and summaries merge in
-  /// trial order.
-  Builder& Threads(unsigned threads);
+  Builder& Truth(std::function<double(uint32_t)> truth) {
+    truth_ = std::move(truth);
+    return *this;
+  }
 
   /// Wires everything and returns the stepping facade.
   Experiment Build();
@@ -419,43 +430,23 @@ class Experiment::Builder {
   SweepResult RunTrials();
 
  private:
-  enum class ScenarioSource { kNone, kExternal, kSynthetic, kLab };
-
-  ScenarioSource scenario_source_ = ScenarioSource::kNone;
-  const td::Scenario* external_scenario_ = nullptr;
-  uint64_t scenario_seed_ = 0;
-  size_t num_sensors_ = 600;
-
   AggregateKind kind_ = AggregateKind::kCount;
   bool kind_set_ = false;
-  std::vector<td::Query> queries_;
-  size_t primary_ = 0;
-  UintReadingFn reading_;
-  RealReadingFn real_reading_;
   const ItemSource* items_ = nullptr;
   std::shared_ptr<PrecisionGradient> gradient_;
   MultipathFreqParams freq_params_;
-  int sketch_bitmaps_ = 0;  // 0: aggregate default
 
   td::Strategy strategy_ = td::Strategy::kTag;
   bool capture_root_state_ = false;
   EngineOptions options_;
   std::optional<DynamicsConfig> dynamics_;
   std::optional<LinkLayerConfig> link_layer_;
-  std::optional<obs::TelemetryConfig> telemetry_;
 
   std::shared_ptr<td::LossModel> loss_;
   std::function<std::shared_ptr<td::LossModel>(const td::Scenario&)>
       loss_factory_;
-  uint64_t network_seed_ = 1;
-  bool network_seed_set_ = false;
   std::shared_ptr<td::Network> shared_network_;
-
-  uint32_t warmup_ = 0;
-  uint32_t epochs_ = 0;
   std::function<double(uint32_t)> truth_;
-  uint32_t trials_ = 1;
-  unsigned threads_ = 0;  // 0: hardware_concurrency
 };
 
 }  // namespace td

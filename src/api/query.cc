@@ -146,6 +146,14 @@ std::unique_ptr<QueryOps> MakeQueryOps(const Query& q) {
   });
 }
 
+std::vector<std::unique_ptr<QueryOps>> MakeQueryOps(
+    const std::vector<Query>& queries) {
+  std::vector<std::unique_ptr<QueryOps>> ops;
+  ops.reserve(queries.size());
+  for (const Query& q : queries) ops.push_back(MakeQueryOps(q));
+  return ops;
+}
+
 std::function<double(uint32_t)> MakeDefaultQueryTruth(
     const Query& q, SensorListFn sensors_at) {
   if (q.truth) return q.truth;

@@ -217,6 +217,9 @@ auto VisitQueryAggregate(const Query& q, F&& f) {
 /// aggregate uses the same constructor defaults (seeds, bitmaps) as the
 /// single-aggregate path, so a one-query set is bit-identical to it.
 std::unique_ptr<QueryOps> MakeQueryOps(const Query& q);
+/// The ops of every query of a set, in order.
+std::vector<std::unique_ptr<QueryOps>> MakeQueryOps(
+    const std::vector<Query>& queries);
 
 /// The exact ground truth a resolved query defaults to, recomputed over
 /// the sensors up at each epoch; null only for callers that override.

@@ -8,10 +8,11 @@
 //
 // One GLOBAL deployment is carved into per-gateway shards (fed/sharding.h);
 // each gateway runs its own td::Engine -- own tree/ring topology, strategy,
-// loss model and dynamics over its shard -- and exports its per-epoch root
-// state. The Coordinator merges those roots into global per-query
-// estimates, and the SubscriptionBroker fans them out to standing
-// subscriptions with shared computation (fed/broker.h).
+// loss model and dynamics over its shard, in the same Gateway runtime an
+// Experiment runs (api/gateway.h) -- and exports its per-epoch root state.
+// The Coordinator merges those roots into global per-query estimates, and
+// the SubscriptionBroker fans them out to standing subscriptions with
+// shared computation (fed/broker.h).
 //
 //   FederatedResult r = FederatedExperiment::Builder()
 //                           .Synthetic(42)
@@ -109,9 +110,8 @@ struct FederatedResult {
   double bytes_per_epoch = 0.0;
 
   /// Flight-recorder summary (Builder::Telemetry). One shared sink spans
-  /// all gateways, so metric totals cover the whole federation; per-ring
-  /// series are NOT populated (shard-local node ids overlap across
-  /// gateways, so a ring binding would misattribute).
+  /// all gateways, so metric totals cover the whole federation, and the
+  /// series are the ones a single engine reports (api/gateway.h).
   obs::TelemetrySummary telemetry;
 };
 
@@ -146,12 +146,9 @@ class FederatedExperiment {
   const std::vector<std::vector<NodeId>>& shards() const { return shards_; }
 
   /// Stepping access for tests and dashboards.
-  Engine& gateway_engine(size_t g) { return *gateways_[g].engine; }
-  const td::Scenario& gateway_scenario(size_t g) const {
-    return *gateways_[g].scenario;
-  }
+  Engine& gateway_engine(size_t g) { return gateways_[g].engine(); }
   DynamicScenario* gateway_dynamics(size_t g) {
-    return gateways_[g].dynamics.get();
+    return gateways_[g].dynamics();
   }
   Coordinator& coordinator() { return *coordinator_; }
   SubscriptionBroker& broker() { return *broker_; }
@@ -169,17 +166,6 @@ class FederatedExperiment {
   friend class Builder;
   FederatedExperiment() = default;
 
-  struct Gateway {
-    std::unique_ptr<td::Scenario> scenario;
-    std::shared_ptr<td::Network> network;
-    std::shared_ptr<QuerySetAggregate> aggregate;
-    std::unique_ptr<td::Engine> engine;
-    std::shared_ptr<DynamicScenario> dynamics;
-    WindowSides sides;
-  };
-
-  std::unique_ptr<td::Scenario> owned_global_;
-  const td::Scenario* global_ = nullptr;
   std::vector<std::vector<NodeId>> shards_;
   std::vector<Gateway> gateways_;
   std::unique_ptr<Coordinator> coordinator_;
@@ -195,36 +181,37 @@ class FederatedExperiment {
   // [gateway][query] over each shard's up sensors.
   std::vector<std::function<double(uint32_t)>> global_truths_;
   std::vector<std::vector<std::function<double(uint32_t)>>> gateway_truths_;
-  size_t primary_ = 0;
 };
 
-class FederatedExperiment::Builder {
+/// Scenario (the ONE global deployment the gateways shard), readings,
+/// telemetry, seeding and run length come from RunBuilder
+/// (api/gateway.h), shared with Experiment::Builder.
+class FederatedExperiment::Builder
+    : public RunBuilder<FederatedExperiment::Builder> {
  public:
   Builder() = default;
 
-  // ------------------------------------------------------------ scenario
-  /// The ONE global deployment the gateways shard (externally owned; must
-  /// outlive the experiment).
-  Builder& Scenario(const td::Scenario* scenario);
-  Builder& Synthetic(uint64_t seed, size_t num_sensors = 600);
-  Builder& Lab(uint64_t seed);
-
   // ------------------------------------------------------------ gateways
   /// `count` gateways all running `strategy`, shards planner-assigned.
-  Builder& Gateways(size_t count, td::Strategy strategy);
+  Builder& Gateways(size_t count, td::Strategy strategy) {
+    for (size_t g = 0; g < count; ++g) {
+      GatewayConfig config;
+      config.strategy = strategy;
+      gateways_.push_back(std::move(config));
+    }
+    return *this;
+  }
   /// Appends one explicitly configured gateway; repeatable. Mixed use with
   /// Gateways() is fine -- shards must still be all-explicit or all-planned.
-  Builder& AddGateway(GatewayConfig config);
+  Builder& AddGateway(GatewayConfig config) {
+    gateways_.push_back(std::move(config));
+    return *this;
+  }
 
   // ------------------------------------------------------------- queries
   /// Appends one standing query (every gateway computes the whole set;
   /// defaults to a single Count query when none is added).
   Builder& AddQuery(td::Query query);
-  /// Index of the primary query (drives the sweep RMS summary). Default 0.
-  Builder& PrimaryQuery(size_t index);
-  Builder& Reading(UintReadingFn reading);
-  Builder& RealReading(RealReadingFn reading);
-  Builder& SketchBitmaps(int bitmaps);
 
   // ------------------------------------------------------- subscriptions
   /// Registers `count` identical subscriptions at build time; repeatable.
@@ -233,19 +220,10 @@ class FederatedExperiment::Builder {
   /// Shared-computation dedup (default on); off is the honest
   /// per-subscriber-recomputation baseline bench_federation measures
   /// against.
-  Builder& DedupSubscriptions(bool dedup);
-
-  // ----------------------------------------------------------------- run
-  /// Switches the flight recorder on: one shared TelemetrySink observes
-  /// every gateway radio plus the coordinator/broker tiers. Default off =
-  /// zero-cost fast paths. Per-ring series stay empty in a federation
-  /// (shard-local node ids overlap); totals remain exact.
-  Builder& Telemetry(obs::TelemetryConfig config = {});
-  Builder& NetworkSeed(uint64_t seed);
-  Builder& Warmup(uint32_t epochs);
-  Builder& Epochs(uint32_t epochs);
-  Builder& Trials(uint32_t trials);
-  Builder& Threads(unsigned threads);
+  Builder& DedupSubscriptions(bool dedup) {
+    dedup_ = dedup;
+    return *this;
+  }
 
   /// Wires the whole federation and returns the stepping facade.
   FederatedExperiment Build();
@@ -256,29 +234,9 @@ class FederatedExperiment::Builder {
   FederatedSweepResult RunTrials();
 
  private:
-  enum class ScenarioSource { kNone, kExternal, kSynthetic, kLab };
-
-  ScenarioSource scenario_source_ = ScenarioSource::kNone;
-  const td::Scenario* external_scenario_ = nullptr;
-  uint64_t scenario_seed_ = 0;
-  size_t num_sensors_ = 600;
-
   std::vector<GatewayConfig> gateways_;
-  std::vector<td::Query> queries_;
-  size_t primary_ = 0;
-  UintReadingFn reading_;
-  RealReadingFn real_reading_;
-  int sketch_bitmaps_ = 0;
-
   std::vector<std::pair<Subscription, size_t>> subscriptions_;
   bool dedup_ = true;
-  std::optional<obs::TelemetryConfig> telemetry_;
-
-  uint64_t network_seed_ = 1;
-  uint32_t warmup_ = 0;
-  uint32_t epochs_ = 0;
-  uint32_t trials_ = 1;
-  unsigned threads_ = 0;
 };
 
 }  // namespace td

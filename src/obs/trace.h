@@ -20,10 +20,10 @@ enum class EventKind : uint8_t {
   /// flush repairs and mode switches out of the bounded ring.
   kRetry = 0,
   /// Dynamics rebuilt/repaired the topology this epoch; a = cumulative
-  /// repair count.
+  /// repair count, b = gateway index (0 for a single engine).
   kTreeRepair,
   /// TD adaptation resized the multipath region; a = +levels expanded or
-  /// -levels shrunk this epoch.
+  /// -levels shrunk this epoch, b = gateway index.
   kModeSwitch,
   /// Route aging re-parented persistently failing tree links; a = nodes
   /// rerouted this epoch.

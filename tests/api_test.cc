@@ -473,5 +473,25 @@ TEST(ExperimentDeathTest, FrequentItemsWithoutItemsDies) {
                "call Items");
 }
 
+// Run lengths of zero name the builder call that set them.
+TEST(ExperimentDeathTest, ZeroEpochsDies) {
+  EXPECT_DEATH(Experiment::Builder()
+                   .Synthetic(42, 64)
+                   .Aggregate(AggregateKind::kCount)
+                   .Epochs(0)
+                   .Run(),
+               "Epochs\\(0\\): a run needs at least one measured epoch");
+}
+
+TEST(ExperimentDeathTest, ZeroTrialsDies) {
+  EXPECT_DEATH(Experiment::Builder()
+                   .Synthetic(42, 64)
+                   .Aggregate(AggregateKind::kCount)
+                   .Epochs(1)
+                   .Trials(0)
+                   .RunTrials(),
+               "Trials\\(0\\): a sweep needs at least one trial");
+}
+
 }  // namespace
 }  // namespace td

@@ -17,7 +17,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "agg/query_set.h"
@@ -26,6 +28,8 @@
 #include "fed/coordinator.h"
 #include "fed/federated_experiment.h"
 #include "fed/sharding.h"
+#include "obs/telemetry.h"
+#include "util/hash.h"
 #include "window/window.h"
 #include "workload/dynamics.h"
 #include "workload/scenario.h"
@@ -128,6 +132,108 @@ TEST(FederationTest, LosslessTreeFederationBitMatchesSingleEngine) {
     // radio bill is the single-engine bill, split across gateways.
     EXPECT_DOUBLE_EQ(fed.bytes_per_epoch, single.bytes_per_epoch);
   }
+}
+
+// A single engine is the one-gateway federation: gateway g of a federation
+// seeded s runs exactly what an Experiment seeded Hash64(s, g) runs, down
+// to every telemetry series the Experiment reports.
+TEST(FederationTest, OneGatewayFederationIsASingleExperiment) {
+  constexpr uint64_t kSeed = 29;
+  const obs::TelemetryConfig telemetry{.trace = false};
+  const std::optional<DynamicsConfig> churn = DynamicsConfig{
+      .churn = ChurnConfig{.fail_rate = 0.01, .mean_downtime = 8.0}};
+  for (Strategy strategy :
+       {Strategy::kTag, Strategy::kSynopsisDiffusion, Strategy::kTdCoarse,
+        Strategy::kTributaryDelta}) {
+    for (const std::optional<DynamicsConfig>& dynamics :
+         {std::optional<DynamicsConfig>(), churn}) {
+      SCOPED_TRACE(std::string(StrategyName(strategy)) +
+                   (dynamics ? " churn" : " static"));
+      Experiment::Builder single_builder;
+      single_builder.Synthetic(31, 150)
+          .AddQuery(Query{.kind = AggregateKind::kCount})
+          .AddQuery(Query{.kind = AggregateKind::kSum})
+          .Reading(LightReading)
+          .Strategy(strategy)
+          .GlobalLossRate(0.1)
+          .NetworkSeed(Hash64(kSeed, 0))
+          .Warmup(5)
+          .Epochs(40)
+          .Telemetry(telemetry);
+      if (dynamics) single_builder.Dynamics(*dynamics);
+      const RunResult single = single_builder.Run();
+      const FederatedResult fed =
+          FederatedExperiment::Builder()
+              .Synthetic(31, 150)
+              .AddGateway({.strategy = strategy,
+                           .loss = std::make_shared<GlobalLoss>(0.1),
+                           .dynamics = dynamics})
+              .AddQuery(Query{.kind = AggregateKind::kCount})
+              .AddQuery(Query{.kind = AggregateKind::kSum})
+              .Reading(LightReading)
+              .NetworkSeed(kSeed)
+              .Warmup(5)
+              .Epochs(40)
+              .Telemetry(telemetry)
+              .Run();
+
+      ASSERT_EQ(fed.global.size(), single.queries.size());
+      for (size_t q = 0; q < fed.global.size(); ++q) {
+        EXPECT_EQ(fed.global[q].estimates, single.queries[q].estimates);
+        EXPECT_EQ(fed.global[q].truths, single.queries[q].truths);
+      }
+      EXPECT_EQ(fed.bytes_per_epoch, single.bytes_per_epoch);
+      if (dynamics) EXPECT_GT(single.topology_repairs, 0u);
+      // Every series the single engine reports, with the same value.
+      ASSERT_FALSE(single.telemetry.metrics.empty());
+      for (const obs::MetricRow& row : single.telemetry.metrics) {
+        const auto it = std::find_if(
+            fed.telemetry.metrics.begin(), fed.telemetry.metrics.end(),
+            [&](const obs::MetricRow& r) { return r.name == row.name; });
+        if (it == fed.telemetry.metrics.end()) {
+          ADD_FAILURE() << "federation lacks " << row.name;
+          continue;
+        }
+        EXPECT_EQ(it->value, row.value) << row.name;
+      }
+    }
+  }
+}
+
+// Shards keep global node ids and are disjoint, so the union of the
+// gateways' ring maps attributes every transmitted byte to exactly one
+// ring -- also after churn repairs re-level a shard's rings.
+TEST(FederationTest, PerRingSeriesCoverEveryByteUnderChurn) {
+  const DynamicsConfig churn{
+      .churn = ChurnConfig{.fail_rate = 0.02, .mean_downtime = 6.0}};
+  FederatedExperiment::Builder b;
+  b.Synthetic(37, 300);
+  for (Strategy strategy :
+       {Strategy::kTributaryDelta, Strategy::kTag,
+        Strategy::kSynopsisDiffusion, Strategy::kTdCoarse}) {
+    b.AddGateway({.strategy = strategy,
+                  .loss = std::make_shared<GlobalLoss>(0.1),
+                  .dynamics = churn});
+  }
+  const FederatedResult fed =
+      b.NetworkSeed(3).Warmup(5).Epochs(40).Telemetry().Run();
+
+  const obs::TelemetrySummary& t = fed.telemetry;
+  EXPECT_GT(t.metric("dynamics.repairs"), 0.0);
+  double ring_bytes = 0.0;
+  int rings = 0;
+  for (const obs::MetricRow& row : t.metrics) {
+    const std::string& n = row.name;
+    if (n.rfind("net.ring", 0) == 0 && n.size() > 6 &&
+        n.compare(n.size() - 6, 6, ".bytes") == 0) {
+      ring_bytes += row.value;
+      ++rings;
+    }
+  }
+  EXPECT_GT(rings, 2);
+  EXPECT_GT(ring_bytes, 0.0);
+  EXPECT_EQ(ring_bytes, t.metric("net.tx.bytes"));
+  EXPECT_EQ(t.metric("net.tx.bytes"), fed.bytes_per_epoch * 40.0);
 }
 
 TEST(FederationTest, MixedStrategyFederationCombinesSides) {
@@ -471,6 +577,26 @@ TEST(FederationDeathTest, DecayedWindowOnNonInvertibleKindDies) {
           .Epochs(1)
           .Build(),
       "EWMA windows need an invertible aggregate");
+}
+
+// Run lengths of zero name the builder call that set them.
+TEST(FederationDeathTest, ZeroEpochsDies) {
+  EXPECT_DEATH(FederatedExperiment::Builder()
+                   .Synthetic(67, 100)
+                   .Gateways(2, Strategy::kTag)
+                   .Epochs(0)
+                   .Run(),
+               "Epochs\\(0\\): a run needs at least one measured epoch");
+}
+
+TEST(FederationDeathTest, ZeroTrialsDies) {
+  EXPECT_DEATH(FederatedExperiment::Builder()
+                   .Synthetic(68, 100)
+                   .Gateways(2, Strategy::kTag)
+                   .Epochs(1)
+                   .Trials(0)
+                   .RunTrials(),
+               "Trials\\(0\\): a sweep needs at least one trial");
 }
 
 }  // namespace

@@ -13,8 +13,9 @@ Input is one JSON object per line, the exact format obs::ToJsonl writes:
 Kinds and their a/b payloads (src/obs/trace.h):
     retry             node=sender, a=physical attempts, b=1 if delivered
                       (only contested unicasts -- a>1 or b=0 -- are traced)
-    tree_repair       a=cumulative repair count
-    mode_switch       a=+levels expanded / -levels shrunk by TD adaptation
+    tree_repair       a=cumulative repair count, b=gateway index
+    mode_switch       a=+levels expanded / -levels shrunk by TD adaptation,
+                      b=gateway index (0 for a single engine)
     reroute           a=nodes re-parented away from blacklisted links
     coordinator_merge a=gateway-root merges this epoch, b=bytes merged
     group_created     a=broker computation-group id
@@ -66,10 +67,9 @@ def describe(e):
     """One human-readable cell for a non-retry event."""
     kind, a, b = e["kind"], e.get("a", 0), e.get("b", 0)
     if kind == "tree_repair":
-        where = f"gw{e['node']}" if e.get("node", -1) >= 0 else "topology"
-        return f"tree_repair[{where} total={a}]"
+        return f"tree_repair[gw{b} total={a}]"
     if kind == "mode_switch":
-        return f"mode_switch[{a:+d} levels]"
+        return f"mode_switch[gw{b} {a:+d} levels]"
     if kind == "reroute":
         return f"reroute[{a} nodes]"
     if kind == "coordinator_merge":

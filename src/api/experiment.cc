@@ -260,12 +260,10 @@ Experiment Experiment::Builder::Build() {
     }
   }
 
-  // Telemetry: the sink hangs off this experiment's own network (hot
-  // hooks) and binds node -> ring level for the per-ring series.
+  // Telemetry: the gateway derives the radio series from its own network.
   if (telemetry_) {
     exp.telemetry_ = std::make_shared<obs::TelemetrySink>(*telemetry_);
-    AttachTelemetry(std::span<Gateway>(&exp.gateway_, 1),
-                    exp.telemetry_.get());
+    exp.gateway_.AttachTelemetry(exp.telemetry_.get(), 0);
   }
 
   exp.warmup_ = warmup_;
@@ -317,7 +315,7 @@ EpochResult Experiment::StepEpoch(uint32_t epoch) {
   // Installed even when null (it restores on exit): TD_PROFILE_SCOPE and
   // CountEvent in the layers below read this thread-local.
   obs::ScopedSink obs_scope(telemetry_.get());
-  if (telemetry_) telemetry_->set_epoch(epoch);
+  if (telemetry_) telemetry_->BeginEpoch(epoch);
   EpochResult r = gateway_.Step(epoch);
   if (any_window_ || any_group_) {
     // Both consumers read the same captured root state: fetched once.
@@ -370,20 +368,6 @@ EpochResult Experiment::StepEpoch(uint32_t epoch) {
       }
     }
   }
-  if (telemetry_ && telemetry_->config().node_energy_series) {
-    // One per-node radio-bytes row per epoch (delta of the cumulative
-    // node_energy tally), the time-to-first-death input.
-    const Network& net = gateway_.network();
-    const size_t n = net.size();
-    if (obs_node_bytes_prev_.size() != n) obs_node_bytes_prev_.assign(n, 0);
-    std::vector<uint64_t> row(n);
-    for (size_t v = 0; v < n; ++v) {
-      const uint64_t b = net.node_energy(static_cast<NodeId>(v)).bytes;
-      row[v] = b - obs_node_bytes_prev_[v];
-      obs_node_bytes_prev_[v] = b;
-    }
-    telemetry_->AppendNodeEnergy(std::move(row));
-  }
   return r;
 }
 
@@ -392,7 +376,6 @@ RunResult Experiment::Run() {
   // Warmup results are discarded one by one (no batch accumulation).
   RunWarmup(warmup_, epochs_, gateways, telemetry_.get(),
             [this](uint32_t e) { StepEpoch(e); });
-  if (warmup_ > 0) obs_node_bytes_prev_.clear();
   Engine& engine = gateway_.engine();
   const uint64_t reprocessed_before = engine.nodes_reprocessed();
 

@@ -240,8 +240,6 @@ class Experiment {
   // The one base station: a single engine is the one-gateway federation.
   Gateway gateway_;
   std::shared_ptr<obs::TelemetrySink> telemetry_;
-  // Last-seen cumulative per-node radio bytes, for node_energy_series.
-  std::vector<uint64_t> obs_node_bytes_prev_;
   uint32_t warmup_ = 0;
   uint32_t epochs_ = 0;
   std::function<double(uint32_t)> truth_;  // primary query's truth

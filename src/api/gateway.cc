@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "agg/aggregate.h"
@@ -55,7 +56,177 @@ const Scenario* ScenarioSource::Pin(std::unique_ptr<Scenario>* owned) {
   return scenario;
 }
 
+// -------------------------------------------------------- GatewayTelemetry
+
+// A gateway's telemetry: the engine-counter and radio-ledger snapshots
+// Step diffs into per-epoch series, and the network's link observer, which
+// forwards every unicast to the route ager and books the contested ones
+// (retries or failure) on the sender's ring and in the trace.
+class GatewayTelemetry final : public LinkObserver {
+ public:
+  GatewayTelemetry(obs::TelemetrySink* sink, int64_t index,
+                   const Rings* rings, RouteAger* ager, const Network& net)
+      : sink_(sink),
+        index_(index),
+        rings_(rings),
+        ager_(ager) {
+    BindRings();
+    Rebase(net);
+  }
+  // The network holds this observer's address.
+  GatewayTelemetry(const GatewayTelemetry&) = delete;
+  GatewayTelemetry& operator=(const GatewayTelemetry&) = delete;
+
+  void OnUnicast(NodeId src, NodeId dst, uint32_t epoch, int attempts,
+                 bool delivered) override {
+    if (ager_ != nullptr) {
+      ager_->OnUnicast(src, dst, epoch, attempts, delivered);
+    }
+    if (attempts == 1 && delivered) return;
+    const int ring = rings_->level(src);
+    if (sink_->config().metrics && ring >= 0) {
+      RingSeries& series = ring_series_[static_cast<size_t>(ring)];
+      series.retries->Add(static_cast<uint64_t>(attempts - 1));
+      if (!delivered) series.failures->Add();
+    }
+    sink_->Record({epoch, obs::EventKind::kRetry, static_cast<int32_t>(src),
+                   ring, attempts, delivered ? 1 : 0});
+  }
+
+  // Registers net.ring<k>.* for every level of the gateway's rings; called
+  // again after each repair, which can add levels.
+  void BindRings() {
+    if (!sink_->config().metrics) return;
+    obs::MetricRegistry& reg = sink_->metrics();
+    for (size_t k = ring_series_.size();
+         k <= static_cast<size_t>(rings_->max_level()); ++k) {
+      const std::string ring = "net.ring" + std::to_string(k);
+      ring_series_.push_back({reg.GetCounter(ring + ".bytes"),
+                              reg.GetCounter(ring + ".transmissions"),
+                              reg.GetCounter(ring + ".retries"),
+                              reg.GetCounter(ring + ".failures")});
+    }
+  }
+
+  // Makes the radio's current counters the baseline of the next deltas.
+  void Rebase(const Network& net) {
+    prev_total_ = net.total_energy();
+    prev_retry_ = net.retry_stats();
+    prev_node_.resize(net.size());
+    for (NodeId v = 0; v < net.size(); ++v) prev_node_[v] = net.node_energy(v);
+  }
+
+  void OnRepair(size_t repairs) {
+    sink_->Count("dynamics.repairs");
+    sink_->Event(obs::EventKind::kTreeRepair, -1,
+                 static_cast<int64_t>(repairs), index_);
+    BindRings();
+  }
+
+  // The engine counters' per-epoch deltas, so engines stay telemetry-blind.
+  void OnEngineEpoch(const Engine& engine) {
+    const EngineStats st = engine.stats();
+    if (st.decisions > prev_stats_.decisions) {
+      sink_->Count("td.decisions", st.decisions - prev_stats_.decisions);
+    }
+    if (st.expansions > prev_stats_.expansions) {
+      const uint64_t d = st.expansions - prev_stats_.expansions;
+      sink_->Count("td.expansions", d);
+      sink_->Event(obs::EventKind::kModeSwitch, -1, static_cast<int64_t>(d),
+                   index_);
+    }
+    if (st.shrinks > prev_stats_.shrinks) {
+      const uint64_t d = st.shrinks - prev_stats_.shrinks;
+      sink_->Count("td.shrinks", d);
+      sink_->Event(obs::EventKind::kModeSwitch, -1, -static_cast<int64_t>(d),
+                   index_);
+    }
+    prev_stats_ = st;
+    const uint64_t reproc = engine.nodes_reprocessed();
+    if (reproc > prev_reprocessed_) {
+      sink_->Count("soa.nodes_reprocessed", reproc - prev_reprocessed_);
+      prev_reprocessed_ = reproc;
+    }
+  }
+
+  void OnReroute(uint32_t epoch, NodeId base, size_t rerouted) {
+    sink_->Count("link.reroutes", rerouted);
+    sink_->Record({epoch, obs::EventKind::kReroute, static_cast<int32_t>(base),
+                   rings_->level(base), static_cast<int64_t>(rerouted), 0});
+  }
+
+  // The epoch's radio series: deltas of the network's ledger since the
+  // last call. Every charge lands on the rings the epoch ran over: repairs
+  // re-level before RunEpoch, and charges outside the sweep go to the
+  // base, which is ring 0 at every level assignment.
+  void OnRadioEpoch(const Network& net) {
+    const EnergyStats& e = net.total_energy();
+    sink_->Count("net.tx.transmissions",
+                 e.transmissions - prev_total_.transmissions);
+    sink_->Count("net.tx.packets", e.packets - prev_total_.packets);
+    sink_->Count("net.tx.bytes", e.bytes - prev_total_.bytes);
+    const RetryStats& rs = net.retry_stats();
+    sink_->Count("net.unicast.count", rs.unicasts - prev_retry_.unicasts);
+    sink_->Count("net.unicast.delivered", rs.delivered - prev_retry_.delivered);
+    sink_->Count("net.unicast.attempts", rs.attempts - prev_retry_.attempts);
+    const bool metrics = sink_->config().metrics;
+    if (metrics) {
+      obs::Histogram* hist =
+          sink_->metrics().GetHistogram("net.unicast.attempts_hist");
+      for (size_t k = 0; k < rs.by_attempts.size(); ++k) {
+        const uint64_t before = k < prev_retry_.by_attempts.size()
+                                    ? prev_retry_.by_attempts[k]
+                                    : 0;
+        hist->Observe(k + 1, rs.by_attempts[k] - before);
+      }
+    }
+    std::vector<uint64_t>* row = sink_->node_energy_row();
+    if (row != nullptr && row->size() < net.size()) row->resize(net.size());
+    for (NodeId v = 0; v < net.size(); ++v) {
+      const EnergyStats& now = net.node_energy(v);
+      EnergyStats& prev = prev_node_[v];
+      if (now.transmissions == prev.transmissions) continue;
+      const uint64_t bytes = now.bytes - prev.bytes;
+      if (row != nullptr) (*row)[v] += bytes;
+      const int ring = rings_->level(v);
+      if (metrics && ring >= 0) {
+        RingSeries& series = ring_series_[static_cast<size_t>(ring)];
+        series.bytes->Add(bytes);
+        series.transmissions->Add(now.transmissions - prev.transmissions);
+      }
+      prev = now;
+    }
+    prev_total_ = e;
+    prev_retry_ = rs;
+  }
+
+ private:
+  struct RingSeries {
+    obs::Counter* bytes = nullptr;
+    obs::Counter* transmissions = nullptr;
+    obs::Counter* retries = nullptr;   // physical attempts beyond the first
+    obs::Counter* failures = nullptr;  // unicasts that never got through
+  };
+
+  obs::TelemetrySink* sink_;
+  int64_t index_;          // tags this gateway's trace events
+  const Rings* rings_;     // the gateway scenario's rings, repaired in place
+  RouteAger* ager_;        // null without route aging
+  std::vector<RingSeries> ring_series_;
+  // Last-seen cumulative counters.
+  EngineStats prev_stats_;
+  uint64_t prev_reprocessed_ = 0;
+  EnergyStats prev_total_;
+  RetryStats prev_retry_;
+  std::vector<EnergyStats> prev_node_;
+};
+
 // ----------------------------------------------------------------- Gateway
+
+Gateway::Gateway() = default;
+Gateway::Gateway(Gateway&&) noexcept = default;
+Gateway& Gateway::operator=(Gateway&&) noexcept = default;
+Gateway::~Gateway() = default;
 
 Gateway::Gateway(GatewaySpec spec)
     : owned_scenario_(std::move(spec.owned_scenario)),
@@ -153,64 +324,16 @@ Gateway::Gateway(GatewaySpec spec)
   }
 }
 
-namespace {
-
-// Node -> ring level over every gateway of a facade. A sensor joins only
-// its own gateway's rings (level -1 elsewhere) and the base is level 0 in
-// all of them, so the maximum over gateways is the owner's level.
-void BindRingUnion(obs::TelemetrySink* sink,
-                   const std::vector<const Rings*>& rings) {
-  std::vector<int32_t> levels(rings.front()->num_nodes(), -1);
-  for (const Rings* r : rings) {
-    for (size_t v = 0; v < levels.size(); ++v) {
-      levels[v] = std::max(levels[v], r->level(static_cast<NodeId>(v)));
-    }
-  }
-  sink->BindTopology(std::move(levels));
-}
-
-}  // namespace
-
 EpochResult Gateway::Step(uint32_t epoch) {
   if (dynamics_) {
     const EpochDynamics d = dynamics_->Advance(epoch, network_.get());
     if (d.topology_changed) {
       engine_->OnTopologyChanged();
-      if (sink_) {
-        sink_->Count("dynamics.repairs");
-        sink_->Event(obs::EventKind::kTreeRepair, -1,
-                     static_cast<int64_t>(dynamics_->repairs()), index_);
-        // Repairs can re-level the rings: rebind so per-ring series keep
-        // tracking the repaired topology.
-        BindRingUnion(sink_, *facade_rings_);
-      }
+      if (telemetry_) telemetry_->OnRepair(dynamics_->repairs());
     }
   }
   EpochResult r = engine_->RunEpoch(epoch);
-  if (sink_) {
-    const EngineStats st = engine_->stats();
-    if (st.decisions > obs_prev_stats_.decisions) {
-      sink_->Count("td.decisions", st.decisions - obs_prev_stats_.decisions);
-    }
-    if (st.expansions > obs_prev_stats_.expansions) {
-      const uint64_t d = st.expansions - obs_prev_stats_.expansions;
-      sink_->Count("td.expansions", d);
-      sink_->Event(obs::EventKind::kModeSwitch, -1, static_cast<int64_t>(d),
-                   index_);
-    }
-    if (st.shrinks > obs_prev_stats_.shrinks) {
-      const uint64_t d = st.shrinks - obs_prev_stats_.shrinks;
-      sink_->Count("td.shrinks", d);
-      sink_->Event(obs::EventKind::kModeSwitch, -1, -static_cast<int64_t>(d),
-                   index_);
-    }
-    obs_prev_stats_ = st;
-    const uint64_t reproc = engine_->nodes_reprocessed();
-    if (reproc > obs_prev_reprocessed_) {
-      sink_->Count("soa.nodes_reprocessed", reproc - obs_prev_reprocessed_);
-      obs_prev_reprocessed_ = reproc;
-    }
-  }
+  if (telemetry_) telemetry_->OnEngineEpoch(*engine_);
   if (route_ager_ != nullptr) {
     const size_t rerouted = route_ager_->EndEpoch(epoch);
     if (rerouted > 0) {
@@ -218,29 +341,23 @@ EpochResult Gateway::Step(uint32_t epoch) {
       // like the dynamics tier charges its churn repairs.
       network_->CountTransmission(scenario_->base(), 8 + 2 * rerouted);
       engine_->OnTopologyChanged();
-      if (sink_) {
-        sink_->Count("link.reroutes", rerouted);
-        sink_->Event(obs::EventKind::kReroute,
-                     static_cast<int32_t>(scenario_->base()),
-                     static_cast<int64_t>(rerouted));
-      }
+      if (telemetry_) telemetry_->OnReroute(epoch, scenario_->base(), rerouted);
     }
   }
+  if (telemetry_) telemetry_->OnRadioEpoch(*network_);
   return r;
 }
 
-void AttachTelemetry(std::span<Gateway> gateways, obs::TelemetrySink* sink) {
-  if (sink == nullptr) return;
-  auto rings = std::make_shared<std::vector<const Rings*>>();
-  for (const Gateway& gw : gateways) rings->push_back(&gw.scenario_->rings);
-  for (size_t g = 0; g < gateways.size(); ++g) {
-    Gateway& gw = gateways[g];
-    gw.sink_ = sink;
-    gw.index_ = static_cast<int64_t>(g);
-    gw.facade_rings_ = rings;
-    gw.network_->SetTelemetry(sink);
-  }
-  BindRingUnion(sink, *rings);
+void Gateway::AttachTelemetry(obs::TelemetrySink* sink, int64_t index) {
+  TD_CHECK(sink != nullptr);
+  telemetry_ = std::make_unique<GatewayTelemetry>(
+      sink, index, &scenario_->rings, route_ager_.get(), *network_);
+  network_->SetLinkObserver(telemetry_.get());
+}
+
+void Gateway::ResetEnergy() {
+  network_->ResetEnergy();
+  if (telemetry_) telemetry_->Rebase(*network_);
 }
 
 // ------------------------------------------------------ shared run plumbing
@@ -305,7 +422,7 @@ void RunWarmup(uint32_t warmup, uint32_t epochs, std::span<Gateway> gateways,
                "Epochs(n) with n > 0 before Run()");
   for (uint32_t e = 0; e < warmup; ++e) step(e);
   if (warmup == 0) return;
-  for (Gateway& gw : gateways) gw.network().ResetEnergy();
+  for (Gateway& gw : gateways) gw.ResetEnergy();
   // Measured telemetry starts bitwise-aligned with the reset radio
   // counters (warmup traffic belongs to neither).
   if (sink) sink->Reset();

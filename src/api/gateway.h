@@ -6,6 +6,7 @@
 //   Gateway::Step(epoch):
 //     dynamics Advance -> OnTopologyChanged -> RunEpoch
 //       -> engine-stat telemetry deltas -> route aging
+//       -> net.* telemetry deltas of the radio ledger
 //
 // The rest of this header is the builder plumbing the two facades share:
 // the common settings (RunBuilder), where the scenario comes from
@@ -108,15 +109,16 @@ class RunBuilder {
   }
 
   // ----------------------------------------------------------------- run
-  /// Attaches a telemetry sink (src/obs/): named metric series mirroring
-  /// the energy/retry counters (totals and per-ring), a bounded
+  /// Attaches a telemetry sink (src/obs/): named metric series (radio
+  /// totals and per-ring series derived from each network's own counters at
+  /// epoch end, engine and serving-layer counters), a bounded
   /// flight-recorder event ring (retry outcomes, repairs, TD mode
   /// switches, reroutes), and a TD_PROFILE_SCOPE phase profile. Telemetry
   /// only observes -- results stay bit-identical to a telemetry-off run --
-  /// and off costs a null check per transmission. An Experiment also fills
-  /// RunResult.node_energy and rejects a shared Network() (the sink would
-  /// tally foreign traffic); a federation shares one sink across its
-  /// gateways and reports the same series.
+  /// and off adds nothing to the radio's per-packet path. An Experiment
+  /// also fills RunResult.node_energy and rejects a shared Network() (the
+  /// sink would tally foreign traffic); a federation shares one sink
+  /// across its gateways and reports the same series.
   Builder& Telemetry(obs::TelemetryConfig config = {}) {
     telemetry_ = config;
     return Self();
@@ -203,12 +205,17 @@ struct GatewaySpec {
   uint32_t run_epochs = 0;
 };
 
+class GatewayTelemetry;
+
 /// One base station: its scenario, radio, dynamics driver, link layer and
 /// engine, with every lifetime kept straight.
 class Gateway {
  public:
-  Gateway() = default;
+  Gateway();
   explicit Gateway(GatewaySpec spec);
+  Gateway(Gateway&&) noexcept;
+  Gateway& operator=(Gateway&&) noexcept;
+  ~Gateway();
 
   /// Builds the engine running `strategy` over `aggregate`, which the
   /// gateway keeps alive for the engine.
@@ -221,10 +228,23 @@ class Gateway {
   }
 
   /// One epoch: applies the epoch's dynamic events (repairs notify the
-  /// engine), aggregates, emits the engine counters' per-epoch deltas to
-  /// the attached sink, and ages routes. Visit epochs in increasing order;
-  /// the root state of the epoch is then engine().root_state().
+  /// engine), aggregates, and ages routes. With a sink attached it then
+  /// emits the per-epoch deltas of the engine counters and of the radio
+  /// ledger. Visit epochs in increasing order; the root state of the epoch
+  /// is then engine().root_state().
   EpochResult Step(uint32_t epoch);
+
+  /// Hooks this gateway to `sink` (not null; it must outlive the gateway).
+  /// `index` tags the gateway's trace events. From then on Step derives
+  /// the net.* series from this gateway's radio: net.tx.* from its total
+  /// energy, net.unicast.* from its retry stats, and net.ring<k>.* from
+  /// its per-node energy bucketed by this gateway's rings. Contested
+  /// unicasts reach the sink through the network's LinkObserver hook.
+  void AttachTelemetry(obs::TelemetrySink* sink, int64_t index);
+
+  /// Zeroes the radio's counters (Network::ResetEnergy) and the telemetry
+  /// snapshot they are diffed against, so both restart together.
+  void ResetEnergy();
 
   const Scenario& scenario() const { return *scenario_; }
   Network& network() const { return *network_; }
@@ -235,8 +255,6 @@ class Gateway {
   RouteAger* route_ager() const { return route_ager_.get(); }
 
  private:
-  friend void AttachTelemetry(std::span<Gateway> gateways,
-                              obs::TelemetrySink* sink);
   friend api_internal::SensorListFn UpSensors(
       std::vector<NodeId> sensors, std::span<const Gateway> gateways);
 
@@ -248,24 +266,10 @@ class Gateway {
   std::unique_ptr<RouteAger> route_ager_;
   std::shared_ptr<void> aggregate_;  // keep-alive for the engine's aggregate
   std::unique_ptr<Engine> engine_;
-
-  // Telemetry (AttachTelemetry): the sink, this gateway's index on its
-  // trace events, the rings of every gateway of the facade (the ring
-  // binding is their union), and the last-seen cumulative engine counters
-  // Step turns into per-epoch deltas, so engines stay telemetry-blind.
-  obs::TelemetrySink* sink_ = nullptr;
-  int64_t index_ = 0;
-  std::shared_ptr<const std::vector<const Rings*>> facade_rings_;
-  EngineStats obs_prev_stats_;
-  uint64_t obs_prev_reprocessed_ = 0;
+  // Null until AttachTelemetry. Heap-owned: it is the network's link
+  // observer, so its address must survive moves of the gateway.
+  std::unique_ptr<GatewayTelemetry> telemetry_;
 };
-
-/// Hooks every gateway of a facade to one sink (null: telemetry off):
-/// each radio's per-packet counters, each gateway's index on its trace
-/// events, and one node -> ring binding over the union of the gateways'
-/// rings, which any gateway's repair rebinds. Shards keep global node ids
-/// and are disjoint (fed/sharding.h), so the union is exact.
-void AttachTelemetry(std::span<Gateway> gateways, obs::TelemetrySink* sink);
 
 /// The sensors a default ground truth ranges over at each epoch: `sensors`
 /// restricted to those the gateways' dynamics report up (alive and awake)
@@ -299,7 +303,8 @@ auto RunTrialsInOrder(uint32_t trials, unsigned threads, uint64_t base_seed,
 
 /// The warmup half of both facades' Run: checks that Epochs() asked for a
 /// measured epoch, steps the warmup epochs, then zeroes every gateway's
-/// energy counters and the sink, so measured totals exclude warmup.
+/// radio counters (Gateway::ResetEnergy) and the sink, so measured totals
+/// exclude warmup.
 void RunWarmup(uint32_t warmup, uint32_t epochs, std::span<Gateway> gateways,
                obs::TelemetrySink* sink,
                const std::function<void(uint32_t)>& step);

@@ -135,10 +135,14 @@ FederatedExperiment FederatedExperiment::Builder::Build() {
   }
 
   // Flight recorder: ONE sink shared by every gateway so totals span the
-  // federation; the ring binding is the union of the shards' rings.
+  // federation. Shards keep global node ids and are disjoint, so each
+  // gateway's rings attribute its own radio's bytes exactly.
   if (telemetry_) {
     exp.telemetry_ = std::make_shared<obs::TelemetrySink>(*telemetry_);
-    AttachTelemetry(exp.gateways_, exp.telemetry_.get());
+    for (size_t g = 0; g < exp.gateways_.size(); ++g) {
+      exp.gateways_[g].AttachTelemetry(exp.telemetry_.get(),
+                                       static_cast<int64_t>(g));
+    }
   }
 
   exp.warmup_ = warmup_;
@@ -181,7 +185,7 @@ FedEpochResult FederatedExperiment::StepEpoch(uint32_t epoch) {
   // The TLS sink makes the broker/window/coordinator hooks live for this
   // epoch; a null sink keeps every hook on its no-op fast path.
   obs::ScopedSink obs_scope(telemetry_.get());
-  if (telemetry_) telemetry_->set_epoch(epoch);
+  if (telemetry_) telemetry_->BeginEpoch(epoch);
 
   FedEpochResult r;
   r.epoch = epoch;

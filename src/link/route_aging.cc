@@ -40,7 +40,7 @@ RouteAger::RouteAger(RouteAgingConfig config, Scenario* scenario)
 }
 
 void RouteAger::OnUnicast(NodeId src, NodeId dst, uint32_t epoch,
-                          bool delivered) {
+                          int /*attempts*/, bool delivered) {
   // Only the child -> current-parent link feeds the streak; a unicast on
   // any other link (stale caller, future multi-path use) is ignored.
   if (scenario_->tree.parent(src) != dst) return;

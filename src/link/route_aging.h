@@ -57,7 +57,7 @@ class RouteAger : public LinkObserver {
   /// Records one unicast outcome. Only links into the sender's *current*
   /// tree parent feed the failure streak -- delivery on any other link says
   /// nothing about the route being aged.
-  void OnUnicast(NodeId src, NodeId dst, uint32_t epoch,
+  void OnUnicast(NodeId src, NodeId dst, uint32_t epoch, int attempts,
                  bool delivered) override;
 
   /// End-of-epoch pass: expires stale blacklist entries, then -- if any

@@ -1,6 +1,5 @@
 #include "net/network.h"
 
-#include "obs/telemetry.h"
 #include "util/check.h"
 
 namespace td {
@@ -89,9 +88,8 @@ void Network::RecordUnicast(NodeId src, NodeId dst, uint32_t epoch,
     retry_stats_.by_attempts.resize(static_cast<size_t>(attempts), 0);
   }
   ++retry_stats_.by_attempts[static_cast<size_t>(attempts) - 1];
-  if (observer_ != nullptr) observer_->OnUnicast(src, dst, epoch, delivered);
-  if (telemetry_ != nullptr) {
-    telemetry_->OnUnicast(src, dst, epoch, attempts, delivered);
+  if (observer_ != nullptr) {
+    observer_->OnUnicast(src, dst, epoch, attempts, delivered);
   }
 }
 
@@ -106,7 +104,6 @@ void Network::CountTransmission(NodeId src, size_t bytes) {
   delta.bytes = bytes;
   total_energy_ += delta;
   node_energy_[src] += delta;
-  if (telemetry_ != nullptr) telemetry_->OnTransmission(src, bytes, packets);
 }
 
 void Network::SetLossModel(std::shared_ptr<LossModel> loss) {

@@ -24,10 +24,6 @@
 
 namespace td {
 
-namespace obs {
-class TelemetrySink;
-}  // namespace obs
-
 /// TinyDB message payload size used throughout the paper's evaluation.
 inline constexpr size_t kPacketBytes = 48;
 
@@ -66,13 +62,15 @@ struct RetryStats {
   }
 };
 
-/// Observer of unicast outcomes; route aging (link/route_aging) subscribes
-/// to blacklist persistently failing tree links. Called once per logical
-/// unicast with the final delivery outcome, never per attempt.
+/// Observer of unicast outcomes: route aging (link/route_aging) blacklists
+/// persistently failing tree links, and a gateway with telemetry books
+/// contested unicasts. Called once per logical unicast with the physical
+/// data transmissions it took and the final delivery outcome, never per
+/// attempt.
 class LinkObserver {
  public:
   virtual ~LinkObserver() = default;
-  virtual void OnUnicast(NodeId src, NodeId dst, uint32_t epoch,
+  virtual void OnUnicast(NodeId src, NodeId dst, uint32_t epoch, int attempts,
                          bool delivered) = 0;
 };
 
@@ -130,11 +128,6 @@ class Network {
   /// The observer must outlive the network or be cleared first.
   void SetLinkObserver(LinkObserver* observer) { observer_ = observer; }
 
-  /// Attaches a telemetry sink mirroring the energy/retry counters into
-  /// named series (nullptr detaches). Off costs one null check per
-  /// transmission; the sink must outlive the network or be cleared first.
-  void SetTelemetry(obs::TelemetrySink* telemetry) { telemetry_ = telemetry; }
-
   /// Powers a node down (dead or duty-cycle asleep) or back up. An inactive
   /// node transmits nothing -- its sends fail and charge no energy -- and
   /// hears nothing. All nodes start active; static scenarios never call
@@ -167,8 +160,7 @@ class Network {
   std::vector<uint8_t> active_;
   std::optional<RetryPolicy> retry_policy_;
   RetryStats retry_stats_;
-  LinkObserver* observer_ = nullptr;        // not owned
-  obs::TelemetrySink* telemetry_ = nullptr;  // not owned
+  LinkObserver* observer_ = nullptr;  // not owned
 };
 
 }  // namespace td

@@ -56,10 +56,11 @@ class Histogram {
 
   static int BucketOf(uint64_t x);
 
-  void Observe(uint64_t x) {
-    ++counts_[BucketOf(x)];
-    ++total_;
-    sum_ += x;
+  /// Observes `x` `n` times.
+  void Observe(uint64_t x, uint64_t n = 1) {
+    counts_[BucketOf(x)] += n;
+    total_ += n;
+    sum_ += x * n;
   }
 
   uint64_t total() const { return total_; }

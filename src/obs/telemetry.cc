@@ -1,7 +1,6 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/check.h"
 
@@ -77,44 +76,7 @@ void TelemetrySummary::Merge(const TelemetrySummary& o) {
 }
 
 TelemetrySink::TelemetrySink(const TelemetryConfig& config)
-    : config_(config),
-      tracer_(std::max<size_t>(config.trace_capacity, 1)),
-      tx_count_(metrics_.GetCounter("net.tx.transmissions")),
-      tx_packets_(metrics_.GetCounter("net.tx.packets")),
-      tx_bytes_(metrics_.GetCounter("net.tx.bytes")),
-      uni_count_(metrics_.GetCounter("net.unicast.count")),
-      uni_delivered_(metrics_.GetCounter("net.unicast.delivered")),
-      uni_attempts_(metrics_.GetCounter("net.unicast.attempts")),
-      attempts_hist_(metrics_.GetHistogram("net.unicast.attempts_hist")),
-      msg_bytes_hist_(metrics_.GetHistogram("net.tx.message_bytes")) {}
-
-void TelemetrySink::BindTopology(std::vector<int32_t> node_ring) {
-  node_ring_ = std::move(node_ring);
-  int32_t max_ring = -1;
-  for (int32_t r : node_ring_) max_ring = std::max(max_ring, r);
-  // Channels for newly seen levels; existing ones keep their series (the
-  // registry is the source of truth, channels are just resolved pointers).
-  for (int32_t r = static_cast<int32_t>(rings_.size()); r <= max_ring; ++r) {
-    char name[64];
-    RingChannel ch;
-    std::snprintf(name, sizeof(name), "net.ring%d.bytes", r);
-    ch.bytes = metrics_.GetCounter(name);
-    std::snprintf(name, sizeof(name), "net.ring%d.transmissions", r);
-    ch.transmissions = metrics_.GetCounter(name);
-    std::snprintf(name, sizeof(name), "net.ring%d.retries", r);
-    ch.retries = metrics_.GetCounter(name);
-    std::snprintf(name, sizeof(name), "net.ring%d.failures", r);
-    ch.failures = metrics_.GetCounter(name);
-    rings_.push_back(ch);
-  }
-}
-
-void TelemetrySink::Event(EventKind kind, int32_t node, int64_t a, int64_t b) {
-  if (!config_.trace) return;
-  tracer_.Record(
-      {epoch_, kind, node, node >= 0 ? RingOf(static_cast<uint32_t>(node)) : -1,
-       a, b});
-}
+    : config_(config), tracer_(std::max<size_t>(config.trace_capacity, 1)) {}
 
 void TelemetrySink::Reset() {
   metrics_.Reset();

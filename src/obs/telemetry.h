@@ -1,11 +1,16 @@
 // Telemetry sink: one owner for the metrics registry, the epoch tracer,
-// and the phase profiler, wired behind Experiment::Builder::Telemetry().
+// and the phase profiler, wired behind RunBuilder::Telemetry().
+//
+// The sink keeps no copy of the radio ledger and no topology. The network
+// counts every transmission and unicast once (EnergyStats, RetryStats);
+// each gateway turns that ledger into the net.* series at epoch end, and
+// books contested unicasts through the network's LinkObserver hook.
 //
 // Overhead contract (pinned by obs_test + check_bench.py --telemetry):
-//  - OFF (no sink installed): hot paths see one raw-pointer null check
-//    (Network) or one thread-local load (TD_PROFILE_SCOPE); results are
-//    bit-identical to a build without telemetry and epoch throughput
-//    regresses <= 2%.
+//  - OFF (no sink installed): the radio carries no telemetry hook at all;
+//    the layers above see one thread-local load per TD_PROFILE_SCOPE or
+//    CountEvent. Results are bit-identical to a telemetry-off build, and
+//    the telemetry-off StepEpoch stays within 2% of a raw engine epoch.
 //  - ON: telemetry only *observes* -- it never consumes RNG draws or
 //    reorders work -- so results stay bit-identical to telemetry-off.
 //
@@ -83,53 +88,11 @@ class TelemetrySink {
   Profiler& profiler() { return profiler_; }
   bool profile_enabled() const { return config_.profile; }
 
-  /// Binds node -> ring level (from Rings; -1 = unreachable) so hot hooks
-  /// can bucket per-ring series without a lookup table miss. Rebound on
-  /// topology repair. Unbound sinks fold everything into totals only.
-  void BindTopology(std::vector<int32_t> node_ring);
-
-  /// Current epoch, stamped on events emitted by layers that do not carry
-  /// an epoch argument (broker churn, coordinator merges).
-  void set_epoch(uint32_t epoch) { epoch_ = epoch; }
-  uint32_t epoch() const { return epoch_; }
-
-  /// Hot hook: one physical transmission charged to `src` (mirrors
-  /// Network::CountTransmission bitwise: same bytes, same packet
-  /// rounding).
-  void OnTransmission(uint32_t src, uint64_t bytes, uint64_t packets) {
-    if (!config_.metrics) return;
-    tx_count_->Add();
-    tx_packets_->Add(packets);
-    tx_bytes_->Add(bytes);
-    msg_bytes_hist_->Observe(bytes);
-    const int32_t r = RingOf(src);
-    if (r >= 0) {
-      rings_[static_cast<size_t>(r)].transmissions->Add();
-      rings_[static_cast<size_t>(r)].bytes->Add(bytes);
-    }
-  }
-
-  /// Hot hook: final outcome of one logical unicast (mirrors RetryStats).
-  /// Contested unicasts (retries or failure) also land in the trace ring.
-  void OnUnicast(uint32_t src, uint32_t dst, uint32_t epoch, int attempts,
-                 bool delivered) {
-    (void)dst;
-    const int32_t r = RingOf(src);
-    if (config_.metrics) {
-      uni_count_->Add();
-      uni_attempts_->Add(static_cast<uint64_t>(attempts));
-      if (delivered) uni_delivered_->Add();
-      attempts_hist_->Observe(static_cast<uint64_t>(attempts));
-      if (r >= 0) {
-        RingChannel& ch = rings_[static_cast<size_t>(r)];
-        ch.retries->Add(static_cast<uint64_t>(attempts - 1));
-        if (!delivered) ch.failures->Add();
-      }
-    }
-    if (config_.trace && (attempts > 1 || !delivered)) {
-      tracer_.Record({epoch, EventKind::kRetry, static_cast<int32_t>(src), r,
-                      attempts, delivered ? 1 : 0});
-    }
+  /// Starts epoch `epoch`: stamps it on the events that follow and, with
+  /// node_energy_series on, opens the epoch's per-node radio-bytes row.
+  void BeginEpoch(uint32_t epoch) {
+    epoch_ = epoch;
+    if (config_.node_energy_series) node_energy_series_.emplace_back();
   }
 
   /// Low-frequency counter bump by name (registry lookup per call; do not
@@ -138,16 +101,24 @@ class TelemetrySink {
     if (config_.metrics) metrics_.GetCounter(name)->Add(n);
   }
 
-  /// Records a structured event, stamping the current epoch and (when the
-  /// event is node-scoped and unset) the node's ring.
-  void Event(EventKind kind, int32_t node = -1, int64_t a = 0, int64_t b = 0);
-
-  /// Appends one epoch's per-node radio-bytes row (node_energy_series).
-  void AppendNodeEnergy(std::vector<uint64_t> epoch_bytes) {
-    node_energy_series_.push_back(std::move(epoch_bytes));
+  /// Records a structured event stamped with the current epoch. The sink
+  /// keeps no topology, so the event's ring is -1; a caller that knows a
+  /// node's ring records the whole event with Record.
+  void Event(EventKind kind, int32_t node = -1, int64_t a = 0, int64_t b = 0) {
+    Record({epoch_, kind, node, -1, a, b});
+  }
+  void Record(const TraceEvent& e) {
+    if (config_.trace) tracer_.Record(e);
   }
 
-  /// Zeroes every series/ring/phase (warmup boundary: keeps measured
+  /// The open epoch's per-node radio-bytes row (node_energy_series), or
+  /// null when the series is off or no epoch has begun. Every gateway of a
+  /// facade adds its radio's bytes into the same row.
+  std::vector<uint64_t>* node_energy_row() {
+    return node_energy_series_.empty() ? nullptr : &node_energy_series_.back();
+  }
+
+  /// Zeroes every series and phase (warmup boundary: keeps measured
   /// totals bitwise comparable to the post-ResetEnergy legacy counters).
   void Reset();
 
@@ -155,35 +126,12 @@ class TelemetrySink {
   TelemetrySummary Summarize();
 
  private:
-  int32_t RingOf(uint32_t node) const {
-    return node < node_ring_.size() ? node_ring_[node] : -1;
-  }
-
-  struct RingChannel {
-    Counter* bytes = nullptr;
-    Counter* transmissions = nullptr;
-    Counter* retries = nullptr;   // physical attempts beyond the first
-    Counter* failures = nullptr;  // unicasts that never got through
-  };
-
   TelemetryConfig config_;
   MetricRegistry metrics_;
   EpochTracer tracer_;
   Profiler profiler_;
   uint32_t epoch_ = 0;
-  std::vector<int32_t> node_ring_;
-  std::vector<RingChannel> rings_;
   std::vector<std::vector<uint64_t>> node_energy_series_;
-
-  // Pre-resolved totals (stable registry pointers; no lookup on hot paths).
-  Counter* tx_count_;
-  Counter* tx_packets_;
-  Counter* tx_bytes_;
-  Counter* uni_count_;
-  Counter* uni_delivered_;
-  Counter* uni_attempts_;
-  Histogram* attempts_hist_;
-  Histogram* msg_bytes_hist_;
 };
 
 namespace internal {

@@ -42,7 +42,7 @@ struct TraceEvent {
   uint32_t epoch = 0;
   EventKind kind = EventKind::kRetry;
   int32_t node = -1;  // -1: not node-scoped (base-station / run-level event)
-  int32_t ring = -1;  // sender's ring level at record time; -1 if unbound
+  int32_t ring = -1;  // node's ring level at record time; -1 if none
   int64_t a = 0;
   int64_t b = 0;
 

@@ -41,8 +41,6 @@ class BitWriter {
   /// Elias-gamma code for n >= 1 (floor(log2 n) zeros, then n MSB-first).
   void WriteGamma(uint64_t n);
 
-  size_t bit_count() const { return bit_count_; }
-  size_t ByteCount() const { return (bit_count_ + 7) / 8; }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
 
  private:

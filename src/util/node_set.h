@@ -20,8 +20,6 @@ class NodeSet {
   NodeSet() = default;
   explicit NodeSet(size_t n) : n_(n), words_((n + 63) / 64, 0) {}
 
-  size_t universe_size() const { return n_; }
-
   void Set(size_t i) {
     TD_DCHECK(i < n_);
     words_[i / 64] |= (1ULL << (i % 64));

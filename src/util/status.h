@@ -29,7 +29,6 @@ class Status {
 
   Status() : code_(Code::kOk) {}
 
-  static Status Ok() { return Status(); }
   static Status InvalidArgument(std::string msg) {
     return Status(Code::kInvalidArgument, std::move(msg));
   }

@@ -39,22 +39,6 @@ enum class WindowKind {
   kDecayed,
 };
 
-inline const char* WindowKindName(WindowKind k) {
-  switch (k) {
-    case WindowKind::kNone:
-      return "none";
-    case WindowKind::kSliding:
-      return "sliding";
-    case WindowKind::kTumbling:
-      return "tumbling";
-    case WindowKind::kHopping:
-      return "hopping";
-    case WindowKind::kDecayed:
-      return "decayed";
-  }
-  return "?";
-}
-
 /// EWMA smoothing used when kEwma is run without an explicit Decayed
 /// window: new = alpha * epoch + (1 - alpha) * old.
 inline constexpr double kDefaultEwmaAlpha = 0.25;

@@ -323,11 +323,11 @@ TEST(RouteAgingTest, BlacklistsAfterConsecutiveFailuresAndReroutes) {
   cfg.blacklist_epochs = 10;
   RouteAger ager(cfg, &sc);
 
-  ager.OnUnicast(3, 1, 0, false);
-  ager.OnUnicast(3, 1, 0, false);
+  ager.OnUnicast(3, 1, 0, 1, false);
+  ager.OnUnicast(3, 1, 0, 1, false);
   EXPECT_FALSE(ager.IsBlacklisted(3, 1, 0));
   EXPECT_EQ(ager.EndEpoch(0), 0u);
-  ager.OnUnicast(3, 1, 1, false);  // third in a row
+  ager.OnUnicast(3, 1, 1, 1, false);  // third in a row
   EXPECT_TRUE(ager.IsBlacklisted(3, 1, 1));
   EXPECT_EQ(ager.EndEpoch(1), 1u);
   EXPECT_EQ(sc.tree.parent(3), 2u);  // steered to the other upstream parent
@@ -342,11 +342,11 @@ TEST(RouteAgingTest, DeliveryResetsTheStreak) {
   RouteAgingConfig cfg;
   cfg.fail_threshold = 3;
   RouteAger ager(cfg, &sc);
-  ager.OnUnicast(3, 1, 0, false);
-  ager.OnUnicast(3, 1, 0, false);
-  ager.OnUnicast(3, 1, 0, true);  // success wipes the streak
-  ager.OnUnicast(3, 1, 1, false);
-  ager.OnUnicast(3, 1, 1, false);
+  ager.OnUnicast(3, 1, 0, 1, false);
+  ager.OnUnicast(3, 1, 0, 1, false);
+  ager.OnUnicast(3, 1, 0, 1, true);  // success wipes the streak
+  ager.OnUnicast(3, 1, 1, 1, false);
+  ager.OnUnicast(3, 1, 1, 1, false);
   EXPECT_FALSE(ager.IsBlacklisted(3, 1, 1));
   EXPECT_EQ(ager.EndEpoch(1), 0u);
 }
@@ -355,7 +355,7 @@ TEST(RouteAgingTest, IgnoresNonParentLinks) {
   Scenario sc = MakeLineScenario();
   RouteAger ager(RouteAgingConfig{}, &sc);
   // Node 3's parent is 1; failures toward 2 say nothing about its route.
-  for (int i = 0; i < 10; ++i) ager.OnUnicast(3, 2, 0, false);
+  for (int i = 0; i < 10; ++i) ager.OnUnicast(3, 2, 0, 1, false);
   EXPECT_FALSE(ager.IsBlacklisted(3, 2, 0));
   EXPECT_EQ(ager.EndEpoch(0), 0u);
   EXPECT_EQ(sc.tree.parent(3), 1u);

@@ -4,9 +4,11 @@
 //
 // The load-bearing contracts pinned here:
 //  - registry totals equal the legacy EnergyStats / RetryStats /
-//    bytes_per_epoch counters bitwise,
+//    bytes_per_epoch counters bitwise, and the per-ring series partition
+//    them (bytes, transmissions, retries, failures),
 //  - telemetry-off and telemetry-on runs produce bit-identical RunResults
-//    for every strategy (telemetry observes, never consumes RNG draws),
+//    for every strategy and under a retrying, route-aging link layer
+//    (telemetry observes, never consumes RNG draws),
 //  - RunTrials telemetry shards merge in trial order: Threads(1) ==
 //    Threads(8) for every metric row,
 //  - the ring buffer overwrites oldest, counts drops, and drains in order,
@@ -252,6 +254,94 @@ TEST(TelemetryTest, OffOnBitIdentityAcrossStrategies) {
   }
 }
 
+// Sum of every net.ring<k><suffix> row.
+double SumRingSeries(const obs::TelemetrySummary& t,
+                     const std::string& suffix) {
+  double sum = 0.0;
+  for (const obs::MetricRow& row : t.metrics) {
+    const std::string& n = row.name;
+    if (n.rfind("net.ring", 0) == 0 && n.size() > suffix.size() &&
+        n.compare(n.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      sum += row.value;
+    }
+  }
+  return sum;
+}
+
+// A link layer that retries, loses acks and ages routes over the reference
+// fault schedule: contested unicasts and reroutes on every run.
+LinkLayerConfig RetryingLinkLayer(const Scenario& sc) {
+  LinkLayerConfig ll;
+  ll.etx_parents = true;
+  ll.retry.max_attempts = 3;
+  ll.retry.ack_loss = true;
+  ll.aging = RouteAgingConfig{};
+  ll.faults = ReferenceFaultSchedule(sc.deployment, 48);
+  return ll;
+}
+
+// Route aging and the trace share the network's one link observer; with
+// telemetry on, the gateway's observer forwards every unicast to the ager,
+// so aged routes (and everything downstream) must not move.
+TEST(TelemetryTest, OffOnBitIdentityUnderRetryingAgingLinkLayer) {
+  const Scenario sc = MakeSyntheticScenario(9, 120);
+  for (Strategy s : {Strategy::kTag, Strategy::kTributaryDelta}) {
+    SCOPED_TRACE(static_cast<int>(s));
+    auto run = [&](bool telemetry) {
+      Experiment::Builder b;
+      b.Scenario(&sc)
+          .Aggregate(AggregateKind::kCount)
+          .Strategy(s)
+          .LinkLayer(RetryingLinkLayer(sc))
+          .NetworkSeed(5)
+          .Warmup(4)
+          .Epochs(40);
+      if (telemetry) b.Telemetry();
+      return b.Run();
+    };
+    const RunResult off = run(false);
+    const RunResult on = run(true);
+    ExpectRunsBitIdentical(off, on);
+    EXPECT_GT(off.route_reroutes, 0u);
+    EXPECT_GT(off.retry_histogram.size(), 1u);
+    EXPECT_EQ(on.telemetry.metric("link.reroutes"),
+              static_cast<double>(on.route_reroutes));
+  }
+}
+
+// Contested unicasts land on the sender's ring: the per-ring retry and
+// failure series partition the unicast totals, for one engine over a
+// retrying link layer and for a federation of retransmitting gateways.
+TEST(TelemetryTest, PerRingUnicastSeriesPartitionTotals) {
+  const Scenario sc = MakeSyntheticScenario(9, 120);
+  const RunResult single = Experiment::Builder()
+                               .Scenario(&sc)
+                               .Aggregate(AggregateKind::kCount)
+                               .Strategy(Strategy::kTagRetx)
+                               .LinkLayer(RetryingLinkLayer(sc))
+                               .NetworkSeed(5)
+                               .Warmup(4)
+                               .Epochs(40)
+                               .Telemetry()
+                               .Run();
+  GatewayConfig gateway;
+  gateway.strategy = Strategy::kTagRetx;
+  gateway.loss = std::make_shared<GlobalLoss>(0.3);
+  FederatedExperiment::Builder fb;
+  fb.Synthetic(5, 200).AddGateway(gateway).AddGateway(gateway);
+  const FederatedResult fed =
+      fb.NetworkSeed(7).Warmup(3).Epochs(20).Telemetry().Run();
+  for (const obs::TelemetrySummary* t : {&single.telemetry, &fed.telemetry}) {
+    const double count = t->metric("net.unicast.count");
+    const double attempts = t->metric("net.unicast.attempts");
+    const double delivered = t->metric("net.unicast.delivered");
+    EXPECT_GT(attempts, count);
+    EXPECT_GT(count, delivered);
+    EXPECT_EQ(SumRingSeries(*t, ".retries"), attempts - count);
+    EXPECT_EQ(SumRingSeries(*t, ".failures"), count - delivered);
+  }
+}
+
 // The registry is a *mirror*, not a second measurement: its totals equal
 // the legacy counters bitwise over the measured epochs.
 TEST(TelemetryTest, RegistryTotalsMatchLegacyCounters) {
@@ -263,10 +353,6 @@ TEST(TelemetryTest, RegistryTotalsMatchLegacyCounters) {
             static_cast<double>(r.energy.transmissions));
   EXPECT_EQ(t.metric("net.tx.packets"), static_cast<double>(r.energy.packets));
   EXPECT_EQ(t.metric("net.tx.bytes"), static_cast<double>(r.energy.bytes));
-  EXPECT_EQ(t.metric("net.tx.message_bytes.count"),
-            static_cast<double>(r.energy.transmissions));
-  EXPECT_EQ(t.metric("net.tx.message_bytes.sum"),
-            static_cast<double>(r.energy.bytes));
 
   // RetryStats via the RunResult surface.
   uint64_t unicasts = 0;
@@ -556,6 +642,29 @@ TEST(FedTelemetryTest, FederationTotalsMirrorCoordinatorAndRadios) {
     if (e.kind == EventKind::kCoordinatorMerge) ++merges;
   }
   EXPECT_EQ(merges, 8u);
+}
+
+// Every gateway adds its radio's per-node bytes into the epoch's one row,
+// so the federation's matrix sums to its measured radio total.
+TEST(FedTelemetryTest, NodeEnergySeriesSumsEveryGateway) {
+  obs::TelemetryConfig config;
+  config.node_energy_series = true;
+  const FederatedResult fr = FederatedExperiment::Builder()
+                                 .Synthetic(5, 200)
+                                 .Gateways(2, Strategy::kTag)
+                                 .NetworkSeed(7)
+                                 .Warmup(2)
+                                 .Epochs(8)
+                                 .Telemetry(config)
+                                 .Run();
+  const obs::TelemetrySummary& t = fr.telemetry;
+  ASSERT_EQ(t.node_energy_series.size(), size_t{8});
+  uint64_t series_sum = 0;
+  for (const auto& row : t.node_energy_series) {
+    for (uint64_t v : row) series_sum += v;
+  }
+  EXPECT_EQ(static_cast<double>(series_sum), t.metric("net.tx.bytes"));
+  EXPECT_EQ(static_cast<double>(series_sum), fr.bytes_per_epoch * 8.0);
 }
 
 TEST(FedTelemetryTest, BrokerChurnEventsUnderScopedSink) {

@@ -2,6 +2,66 @@
 
 namespace td {
 
+RootState SliceQueryRoot(const RootState& engine_root, size_t query,
+                         bool query_set) {
+  if (!query_set) {
+    TD_DCHECK(query == 0);
+    return engine_root;
+  }
+  RootState out;
+  if (engine_root.tree_partial != nullptr) {
+    const auto* p =
+        static_cast<const QuerySetTreePartial*>(engine_root.tree_partial);
+    TD_CHECK_LT(query, p->q.size());
+    out.tree_partial = p->q[query].get();
+  }
+  if (engine_root.synopsis != nullptr) {
+    const auto* s = static_cast<const QuerySetSynopsis*>(engine_root.synopsis);
+    TD_CHECK_LT(query, s->q.size());
+    out.synopsis = s->q[query].get();
+  }
+  return out;
+}
+
+void QueryRootState::Assign(const RootState& root) {
+  if (root.tree_partial == nullptr) {
+    tree_ = TreeBox();
+  } else if (tree_.get() != nullptr) {
+    ops_->AssignTreePartial(tree_.get(), root.tree_partial);
+  } else {
+    tree_ = TreeBox(ops_, ops_->CloneTreePartial(root.tree_partial));
+  }
+  if (root.synopsis == nullptr) {
+    synopsis_ = SynopsisBox();
+  } else if (synopsis_.get() != nullptr) {
+    ops_->AssignSynopsis(synopsis_.get(), root.synopsis);
+  } else {
+    synopsis_ = SynopsisBox(ops_, ops_->CloneSynopsis(root.synopsis));
+  }
+}
+
+void QueryRootState::Merge(const RootState& newer) {
+  if (newer.tree_partial != nullptr) {
+    if (tree_.get() == nullptr) tree_ = TreeBox(ops_);
+    ops_->MergeTree(tree_.get(), newer.tree_partial);
+  }
+  if (newer.synopsis != nullptr) {
+    if (synopsis_.get() == nullptr) synopsis_ = SynopsisBox(ops_);
+    ops_->Fuse(synopsis_.get(), newer.synopsis);
+  }
+}
+
+double QueryRootState::Evaluate() const {
+  if (tree_.get() != nullptr && synopsis_.get() != nullptr) {
+    return ops_->EvaluateCombined(tree_.get(), synopsis_.get());
+  }
+  if (tree_.get() != nullptr) return ops_->EvaluateTree(tree_.get());
+  if (synopsis_.get() != nullptr) {
+    return ops_->EvaluateSynopsis(synopsis_.get());
+  }
+  return ops_->EvaluateTree(TreeBox(ops_).get());
+}
+
 QuerySetAggregate::QuerySetAggregate(
     std::vector<std::unique_ptr<QueryOps>> queries, size_t primary)
     : queries_(std::move(queries)), primary_(primary) {

@@ -258,6 +258,67 @@ struct QuerySetSynopsis {
   std::vector<qs_internal::PayloadBox<qs_internal::SynopsisPayloadTraits>> q;
 };
 
+/// Type-erased view of root aggregate state: the exact tree partial and/or
+/// the fused synopsis, as opaque pointers to an aggregate's TreePartial /
+/// Synopsis; null for a side that did not reach the base. An engine's
+/// root state (Engine::root_state) points at its aggregate's payloads --
+/// QuerySetTreePartial / QuerySetSynopsis for a query-set engine -- and
+/// SliceQueryRoot narrows it to one member query's payloads.
+struct RootState {
+  const void* tree_partial = nullptr;
+  const void* synopsis = nullptr;
+};
+
+/// Query `query`'s slice of an engine's root state: that query's payload
+/// of every live side for a query-set engine (`query_set`), or the state
+/// itself for an engine over one lowered aggregate (query 0).
+RootState SliceQueryRoot(const RootState& engine_root, size_t query,
+                         bool query_set);
+
+/// One query's owned root state at the base-station tier (windows, the
+/// federation coordinator, the broker's scope merges): an optional tree
+/// partial and an optional synopsis, allocated through the query's
+/// QueryOps. Its live sides are exactly the sides put into it, so the
+/// evaluation form follows the data: EvaluateCombined when both sides
+/// are live, EvaluateTree or EvaluateSynopsis when one is. A tree
+/// strategy's root carries the partial, synopsis diffusion's the
+/// synopsis, Tributary-Delta's both; a merge over mixed strategies
+/// carries the union.
+class QueryRootState {
+ public:
+  explicit QueryRootState(const QueryOps* ops) : ops_(ops) {}
+
+  /// state := root. Copies the root's live sides (reusing this state's
+  /// storage) and drops the sides the root lacks.
+  void Assign(const RootState& root);
+
+  /// state := state (+) newer: MergeTree on the partial side and Fuse on
+  /// the synopsis side, for each side `newer` carries. A side this state
+  /// lacks starts from the empty payload and is merged into, so a merge
+  /// chain runs New, then merge, merge, ... This state must be the
+  /// chronologically OLDER one: MergeTree / Fuse keep `into` on
+  /// conflicts (e.g. duplicate sample ids), so older-on-the-left
+  /// reproduces a brute-force oldest-to-newest fold bit for bit.
+  void Merge(const RootState& newer);
+
+  /// The query's answer, in the form the live sides pick. A state with no
+  /// live side answers as an empty aggregation (EvaluateTree of the empty
+  /// partial).
+  double Evaluate() const;
+
+  /// The live sides, valid until this state next changes.
+  RootState view() const { return RootState{tree_.get(), synopsis_.get()}; }
+
+ private:
+  using TreeBox = qs_internal::PayloadBox<qs_internal::TreePayloadTraits>;
+  using SynopsisBox =
+      qs_internal::PayloadBox<qs_internal::SynopsisPayloadTraits>;
+
+  const QueryOps* ops_;
+  TreeBox tree_;          // null payload: side absent
+  SynopsisBox synopsis_;  // null payload: side absent
+};
+
 /// Per-query scalar answers for one epoch. `primary` designates the query
 /// whose answer stands for the whole set where a single scalar is expected
 /// (EpochResult.value, RunResult.rms, TD adaptation reporting).

@@ -61,43 +61,10 @@ struct EpochResult {
 
   /// Filled by Experiment::StepEpoch (not by engines) when any query
   /// carries a spatial group-by (Query::GroupBy): group_values[i][g] is
-  /// query i's estimate for group g, sliced from the captured root state.
+  /// query i's estimate for group g, sliced from the root state.
   /// Ungrouped queries keep an empty inner vector. Empty when no query is
   /// grouped.
   std::vector<std::vector<double>> group_values;
-};
-
-/// Type-erased view of the base station's root aggregate state after one
-/// epoch: the exact tree partial and/or the fused synopsis, as opaque
-/// pointers to the engine aggregate's A::TreePartial / A::Synopsis (for
-/// query-set engines: QuerySetTreePartial / QuerySetSynopsis). Which sides
-/// are non-null is fixed per strategy (window/query_window.h's
-/// RootStateSides) -- tree engines surface only the partial, synopsis
-/// diffusion only the synopsis, Tributary-Delta both. Valid until the next
-/// RunEpoch; never retransmitted, so capturing costs zero radio bytes.
-///
-/// Two consumers re-merge root states downstream of the engines:
-/// windowed aggregation (window/) merges one engine's states ACROSS
-/// epochs, and the federation tier (src/fed/) merges many gateway
-/// engines' states WITHIN an epoch into a global estimate. Both lean on
-/// the same contract: every registry aggregate's MergeTree / Fuse is
-/// commutative and associative over exactly-representable state (integer
-/// counters, bitwise-OR sketch banks, canonical min-wise samples, min /
-/// max), so re-merging in any grouping or order reproduces the in-network
-/// fold bit-for-bit. The root partial a tree engine exports contains no
-/// base-station reading (the base holds none), which is what lets a
-/// coordinator merge G gateways' roots without double-counting anything.
-/// See DESIGN.md "Hierarchical federation".
-struct RootState {
-  const void* tree_partial = nullptr;
-  const void* synopsis = nullptr;
-};
-
-/// Adaptation counters; all zeros for non-adaptive strategies.
-struct EngineStats {
-  size_t expansions = 0;
-  size_t shrinks = 0;
-  size_t decisions = 0;
 };
 
 /// Knobs shared by every strategy; fields a strategy does not use are
@@ -109,27 +76,6 @@ struct EngineOptions {
 
   /// Base-station adaptation config (kTributaryDelta / kTdCoarse).
   AdaptationConfig adaptation;
-
-  /// Seed for the piggybacked contributing-count sketch.
-  uint64_t contrib_seed = 0x510c;
-
-  /// See SoaTributaryDeltaAggregator::Options::sensor_population.
-  size_t sensor_population = 0;
-
-  /// Capture the base station's root aggregate state every epoch (see
-  /// Engine::root_state). This is the facade-level switch behind
-  /// Experiment::Builder::CaptureRootState; MakeEngine passes it to the
-  /// engine's constructor, so consumers (src/window/, src/fed/) never reach
-  /// into engine internals.
-  ///
-  /// Off by default: the tree-side capture copies the root partial once
-  /// per epoch, so only consumers pay. Two consumers exist: windowed
-  /// aggregation (src/window/ re-merges the state across epochs) and the
-  /// federation tier (fed/Coordinator merges the states of many gateway
-  /// engines into global answers -- see DESIGN.md "Hierarchical
-  /// federation"). Both ride the state the base station already holds, so
-  /// neither adds radio bytes.
-  bool capture_root_state = false;
 };
 
 /// The facade every bench, example and integration test runs against.
@@ -171,13 +117,28 @@ class Engine {
   /// re-derive their cached tree state and resync the region.
   virtual void OnTopologyChanged() = 0;
 
-  /// The captured root state of the last RunEpoch; all-null before the
-  /// first captured epoch or when capture is disabled. Which sides are
-  /// populated is a strategy property (RootStateSides): tree partial for
-  /// tree strategies, fused synopsis for synopsis diffusion, both for
-  /// Tributary-Delta. The pointers alias engine-owned scratch valid until
-  /// the next RunEpoch; a root state excludes any base-station
-  /// self-contribution, so cross-engine merging never double-counts.
+  /// The base station's root aggregate state after the last RunEpoch
+  /// (all-null before the first): the exact tree partial and/or the fused
+  /// synopsis, as opaque pointers to the engine aggregate's A::TreePartial
+  /// / A::Synopsis (QuerySetTreePartial / QuerySetSynopsis for query-set
+  /// engines; SliceQueryRoot picks one query). The sides that reached the
+  /// base are the ones set: the partial for tree strategies, the fused
+  /// synopsis for synopsis diffusion, both for Tributary-Delta. Keeping it
+  /// costs one move of the base partial per epoch and no radio bytes. The
+  /// pointers alias engine-owned state valid until the next RunEpoch.
+  ///
+  /// Two consumers re-merge root states downstream of the engines:
+  /// windowed aggregation (window/) merges one engine's states ACROSS
+  /// epochs, and the federation tier (src/fed/) merges many gateway
+  /// engines' states WITHIN an epoch into a global estimate. Both lean on
+  /// the same contract: every registry aggregate's MergeTree / Fuse is
+  /// commutative and associative over exactly-representable state
+  /// (integer counters, bitwise-OR sketch banks, canonical min-wise
+  /// samples, min / max), so re-merging in any grouping or order
+  /// reproduces the in-network fold bit-for-bit. The root partial contains
+  /// no base-station reading (the base holds none), which is what lets a
+  /// coordinator merge G gateways' roots without double-counting anything.
+  /// See DESIGN.md "Hierarchical federation".
   virtual RootState root_state() const = 0;
 
   /// Adaptation counters (zeros when !IsAdaptive(strategy())).
@@ -255,11 +216,7 @@ class SoaTributaryDeltaEngine final : public Engine {
   RootState root_state() const override {
     return RootState{inner_.root_partial(), inner_.root_synopsis()};
   }
-  EngineStats stats() const override {
-    return EngineStats{.expansions = inner_.stats().expansions,
-                       .shrinks = inner_.stats().shrinks,
-                       .decisions = inner_.stats().decisions};
-  }
+  EngineStats stats() const override { return inner_.stats(); }
   ScratchStats scratch_stats() const override {
     return inner_.scratch_stats();
   }
@@ -276,10 +233,7 @@ class SoaTributaryDeltaEngine final : public Engine {
                            const EngineOptions& options) {
     const typename Kernel::Options kernel_options{
         .adaptation = options.adaptation,
-        .tree_extra_retransmissions = TreeRetransmissions(options, strategy),
-        .contrib_seed = options.contrib_seed,
-        .sensor_population = options.sensor_population,
-        .capture_root = options.capture_root_state};
+        .tree_extra_retransmissions = TreeRetransmissions(options, strategy)};
     switch (strategy) {
       case Strategy::kTag:
       case Strategy::kTagRetx:
@@ -308,8 +262,7 @@ class SoaTributaryDeltaEngine final : public Engine {
 /// Builds a type-erased engine running `strategy` over `aggregate`. The
 /// scenario and aggregate must outlive the engine; the network is shared
 /// so several engines can ride one radio environment (and its RNG
-/// sequence). options.capture_root_state is applied at construction, so
-/// callers never have to poke the engine afterwards.
+/// sequence).
 template <Aggregate A>
 std::unique_ptr<Engine> MakeEngine(Strategy strategy, const Scenario& scenario,
                                    std::shared_ptr<Network> network,

@@ -109,14 +109,8 @@ Experiment Experiment::Builder::Build() {
   exp.population_ = static_cast<double>(sensors.size());
   TD_CHECK_GT(sensors.size(), 0u);
 
-  // Root capture resolves at the facade: an explicit CaptureRootState()
-  // request or any windowed query flips the engine option, and MakeEngine
-  // enables capture at construction -- nobody pokes the engine afterwards.
-  EngineOptions engine_options = options_;
-  if (capture_root_state_) engine_options.capture_root_state = true;
-
   auto install = [&]<typename A>(std::shared_ptr<A> aggregate) {
-    exp.gateway_.Install(std::move(aggregate), strategy_, engine_options);
+    exp.gateway_.Install(std::move(aggregate), strategy_, options_);
   };
 
   exp.truth_ = truth_;
@@ -173,15 +167,10 @@ Experiment Experiment::Builder::Build() {
     if (truth_) exp.query_truths_[primary_] = truth_;
     exp.truth_ = exp.query_truths_[primary_];
 
-    // Windowed and grouped queries imply root capture; decided before the
-    // engine is built so MakeEngine can enable it at construction.
     for (const td::Query& q : queries) {
       if (q.window.windowed()) exp.any_window_ = true;
     }
-    if (exp.any_window_ || exp.any_group_) {
-      engine_options.capture_root_state = true;
-      exp.query_set_engine_ = !lowered_single;
-    }
+    exp.query_set_engine_ = !lowered_single;
 
     if (lowered_single) {
       // A one-query set lowers to the dedicated single-aggregate engine:
@@ -204,12 +193,8 @@ Experiment Experiment::Builder::Build() {
     }
 
     // Windowed queries: base-station windows over the engine's per-epoch
-    // root state, plus exact windowed-truth re-aggregators. Which root
-    // sides exist is a strategy property: tree engines surface the exact
-    // partial, synopsis diffusion the fused synopsis, Tributary-Delta
-    // both. Capture stays off entirely for windowless experiments.
+    // root state, plus exact windowed-truth re-aggregators.
     if (exp.any_window_) {
-      const WindowSides sides = RootStateSides(strategy_);
       exp.window_states_.resize(queries.size());
       for (size_t i = 0; i < queries.size(); ++i) {
         const td::Query& q = queries[i];
@@ -219,7 +204,7 @@ Experiment Experiment::Builder::Build() {
         // pure function of the resolved query's parameters, so it behaves
         // bit-identically to the engine's own aggregate.
         ws.window = std::make_unique<QueryWindow>(
-            api_internal::MakeQueryOps(q), q.window, sides);
+            api_internal::MakeQueryOps(q), q.window);
         // A builder-level Truth() overrides the primary query's truth the
         // same way a per-query truth does: the default kind-derived inputs
         // could contradict it, so its windowed truth series stays empty.
@@ -233,8 +218,8 @@ Experiment Experiment::Builder::Build() {
       }
     }
 
-    // Grouped queries: a per-group evaluator over the same captured root
-    // state the windows read, plus one exact default truth per region.
+    // Grouped queries: a per-group evaluator over the same root state the
+    // windows read, plus one exact default truth per region.
     // The evaluator's aggregate comes from the same VisitQueryAggregate
     // dispatch as the engine's, so the opaque payloads line up exactly.
     if (exp.any_group_) {
@@ -318,25 +303,11 @@ EpochResult Experiment::StepEpoch(uint32_t epoch) {
   if (telemetry_) telemetry_->BeginEpoch(epoch);
   EpochResult r = gateway_.Step(epoch);
   if (any_window_ || any_group_) {
-    // Both consumers read the same captured root state: fetched once.
+    // Both consumers read the same root state: fetched once, and sliced
+    // per query.
     const RootState rs = gateway_.engine().root_state();
-    // Query-set engines hold one payload per member query; this slices
-    // query i's sides out (either may be null, a strategy property).
-    auto query_sides = [&](size_t i) {
-      const void* p = rs.tree_partial;
-      const void* s = rs.synopsis;
-      if (query_set_engine_) {
-        p = p == nullptr
-                ? nullptr
-                : static_cast<const QuerySetTreePartial*>(p)->q[i].get();
-        s = s == nullptr
-                ? nullptr
-                : static_cast<const QuerySetSynopsis*>(s)->q[i].get();
-      }
-      return std::pair<const void*, const void*>(p, s);
-    };
     if (any_window_) {
-      // Feed every windowed query its slice of the captured root state;
+      // Feed every windowed query its slice of the root state;
       // one window tick per StepEpoch call (warmup included -- standing
       // queries don't reset their history when measurement starts).
       const size_t nq = window_states_.size();
@@ -350,8 +321,8 @@ EpochResult Experiment::StepEpoch(uint32_t epoch) {
               r.query_values.size() == nq ? r.query_values[i] : r.value;
           continue;
         }
-        auto [p, s] = query_sides(i);
-        r.windowed_values[i] = ws.window->Observe(p, s);
+        r.windowed_values[i] =
+            ws.window->Observe(SliceQueryRoot(rs, i, query_set_engine_));
         if (ws.truth != nullptr) ws.truths.push_back(ws.truth->Observe(epoch));
       }
     }
@@ -363,8 +334,8 @@ EpochResult Experiment::StepEpoch(uint32_t epoch) {
       for (size_t i = 0; i < nq; ++i) {
         QueryGroupState& gs = group_states_[i];
         if (gs.eval == nullptr) continue;
-        auto [p, s] = query_sides(i);
-        gs.eval->Evaluate(p, s, &r.group_values[i]);
+        gs.eval->Evaluate(SliceQueryRoot(rs, i, query_set_engine_),
+                          &r.group_values[i]);
       }
     }
   }

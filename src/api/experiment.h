@@ -73,7 +73,7 @@ struct QuerySeries {
   size_t window_merges = 0;
 
   /// Grouped queries only (Query::GroupBy): one entry per region, sliced
-  /// from the captured root state at zero extra radio bytes.
+  /// from the root state at zero extra radio bytes.
   /// group_estimates[g][e] is group g's estimate at measured epoch e;
   /// group_truths/group_rms mirror the global truth machinery per group
   /// (empty when the query's truth was overridden by the caller).
@@ -251,7 +251,7 @@ class Experiment {
 
   // Windowed aggregation (window/): one slot per query when any query
   // carries a window. StepEpoch feeds every windowed query its slice of
-  // the engine's captured root state and accumulates the windowed truth
+  // the engine's root state and accumulates the windowed truth
   // series; Run slices the measured tail into QuerySeries.
   struct QueryWindowState {
     std::unique_ptr<td::QueryWindow> window;  // null for windowless queries
@@ -260,11 +260,12 @@ class Experiment {
   };
   std::vector<QueryWindowState> window_states_;
   bool any_window_ = false;
-  // True when root state is QuerySet{TreePartial,Synopsis} payload vectors.
+  // True when the engine runs a QuerySetAggregate (root state is one
+  // payload per query); false for a lowered single aggregate.
   bool query_set_engine_ = false;
 
   // Spatial group-by (quant/): one slot per query when any query carries a
-  // GroupBy. StepEpoch slices per-group estimates out of the captured root
+  // GroupBy. StepEpoch slices per-group estimates out of the engine's root
   // state; Run assembles per-group series and truths.
   struct QueryGroupState {
     std::unique_ptr<api_internal::GroupEval> eval;  // null when ungrouped
@@ -324,13 +325,6 @@ class Experiment::Builder : public RunBuilder<Experiment::Builder> {
   /// bench/suite/workloads.cc, which calls it; goes with the next change
   /// to the benchmark suite.
   Builder& Core(td::EngineCore) { return *this; }
-  /// Captures the base station's root aggregate state every epoch (see
-  /// Engine::root_state). Implied by windowed and grouped queries; the
-  /// federation tier sets EngineOptions::capture_root_state directly.
-  Builder& CaptureRootState(bool capture = true) {
-    capture_root_state_ = capture;
-    return *this;
-  }
   Builder& Options(EngineOptions options) {
     options_ = options;
     return *this;
@@ -435,7 +429,6 @@ class Experiment::Builder : public RunBuilder<Experiment::Builder> {
   MultipathFreqParams freq_params_;
 
   td::Strategy strategy_ = td::Strategy::kTag;
-  bool capture_root_state_ = false;
   EngineOptions options_;
   std::optional<DynamicsConfig> dynamics_;
   std::optional<LinkLayerConfig> link_layer_;

@@ -13,15 +13,15 @@ namespace td {
 namespace api_internal {
 namespace {
 
-/// Default synopsis seeds per kind, matching the aggregate constructors'
-/// defaults so query sets and directly constructed aggregates agree
-/// bit-for-bit.
 bool IsQDigestKind(AggregateKind kind) {
   return kind == AggregateKind::kQuantileQd ||
          kind == AggregateKind::kHistogramQd ||
          kind == AggregateKind::kRangeCountQd;
 }
 
+/// Default synopsis seeds per kind, matching the aggregate constructors'
+/// defaults so query sets and directly constructed aggregates agree
+/// bit-for-bit.
 uint64_t DefaultSeed(AggregateKind kind) {
   switch (kind) {
     case AggregateKind::kCount:
@@ -409,11 +409,11 @@ class GroupEvalImpl final : public GroupEval {
 
   size_t num_groups() const override { return agg_.num_groups(); }
 
-  void Evaluate(const void* tree_partial, const void* synopsis,
+  void Evaluate(const RootState& root,
                 std::vector<double>* out) const override {
     agg_.EvaluateGroups(
-        static_cast<const typename A::TreePartial*>(tree_partial),
-        static_cast<const typename A::Synopsis*>(synopsis), out);
+        static_cast<const typename A::TreePartial*>(root.tree_partial),
+        static_cast<const typename A::Synopsis*>(root.synopsis), out);
   }
 
  private:

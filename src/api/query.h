@@ -142,12 +142,6 @@ Query ResolveQuery(Query q, const UintReadingFn& builder_reading,
                    const RealReadingFn& builder_real_reading,
                    int builder_sketch_bitmaps);
 
-/// Constructs the concrete aggregate a RESOLVED query describes and
-/// invokes `f` with it by value. The one kind-to-constructor dispatch in
-/// the codebase: both the builder's lowered single-aggregate path and
-/// MakeQueryOps go through it, so the two can never drift apart and break
-/// the "Aggregate(kind) is bit-identical to a one-query set" contract.
-/// kFrequentItems (rejected by ResolveQuery) aborts.
 /// The q-digest parameters a resolved query describes.
 inline QDigestParams QueryDigestParams(const Query& q) {
   QDigestParams params;
@@ -160,6 +154,12 @@ inline QDigestParams QueryDigestParams(const Query& q) {
   return params;
 }
 
+/// Constructs the concrete aggregate a RESOLVED query describes and
+/// invokes `f` with it by value. The one kind-to-constructor dispatch in
+/// the codebase: both the builder's lowered single-aggregate path and
+/// MakeQueryOps go through it, so the two can never drift apart and break
+/// the "Aggregate(kind) is bit-identical to a one-query set" contract.
+/// kFrequentItems (rejected by ResolveQuery) aborts.
 template <typename F>
 auto VisitQueryAggregate(const Query& q, F&& f) {
   // Grouped queries (resolved_groups set by Experiment::Builder::Build)
@@ -233,7 +233,7 @@ std::function<double(uint32_t)> MakeDefaultQueryTruth(const Query& q,
 WindowTruthInputFn MakeWindowTruthInputs(const Query& q,
                                          SensorListFn sensors_at);
 
-/// Type-erased per-group evaluation of a grouped query's captured root
+/// Type-erased per-group evaluation of a grouped query's root
 /// state (the opaque GroupByAggregate payloads): the Experiment facade
 /// slices per-group estimates out of each epoch without knowing the
 /// wrapped aggregate's type.
@@ -241,8 +241,9 @@ class GroupEval {
  public:
   virtual ~GroupEval() = default;
   virtual size_t num_groups() const = 0;
-  /// Either side may be null (strategy-dependent; see RootStateSides).
-  virtual void Evaluate(const void* tree_partial, const void* synopsis,
+  /// `root` is the query's slice of the engine's root state; either side
+  /// may be null (only the sides that reached the base are set).
+  virtual void Evaluate(const RootState& root,
                         std::vector<double>* out) const = 0;
 };
 

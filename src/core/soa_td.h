@@ -88,20 +88,10 @@ class SoaTributaryDeltaAggregator {
     AdaptationConfig adaptation;
     /// Extra tree retransmissions (Figure 9(b)).
     int tree_extra_retransmissions = 0;
-    /// Seed for the piggybacked contributing-count sketch.
-    uint64_t contrib_seed = 0x510c;
-    /// Total sensor population the base station divides by to obtain the
-    /// contributing fraction; 0 means "use the number of in-tree sensors".
-    size_t sensor_population = 0;
-    /// Keep each epoch's root state (see root_partial / root_synopsis).
-    bool capture_root = false;
   };
 
-  struct Stats {
-    size_t expansions = 0;
-    size_t shrinks = 0;
-    size_t decisions = 0;  // includes rounds that changed nothing
-  };
+  /// Seed of the piggybacked contributing-count sketch.
+  static constexpr uint64_t kContribSeed = 0x510c;
 
   /// Adaptive labelling (TD, TD-Coarse): starts as a pure tree whose delta
   /// is the base station alone, and `policy` moves the frontier.
@@ -114,9 +104,7 @@ class SoaTributaryDeltaAggregator {
     TD_CHECK(policy != nullptr);
     policy_ = std::move(policy);
     subtree_size_ = tree->ComputeSubtreeSizes();
-    population_ = options_.sensor_population != 0
-                      ? options_.sensor_population
-                      : tree->num_in_tree() - 1;  // sensors exclude the base
+    population_ = tree->num_in_tree() - 1;  // sensors exclude the base
     TD_CHECK_GT(population_, 0u);
   }
 
@@ -185,10 +173,8 @@ class SoaTributaryDeltaAggregator {
     }
     if (policy_ == nullptr) return;
     subtree_size_ = tree_->ComputeSubtreeSizes();
-    if (options_.sensor_population == 0) {
-      size_t in_tree = tree_->num_in_tree();
-      population_ = in_tree > 1 ? in_tree - 1 : 1;
-    }
+    const size_t in_tree = tree_->num_in_tree();
+    population_ = in_tree > 1 ? in_tree - 1 : 1;
     damper_.Reset();
     pct_history_.clear();
     pct_raw_history_.clear();
@@ -196,10 +182,10 @@ class SoaTributaryDeltaAggregator {
   }
 
   /// The last RunEpoch's root state (exact tributary partial + fused delta
-  /// synopsis), or nullptr before the first captured epoch (or without
-  /// Options::capture_root). A pinned labelling surfaces one side only:
-  /// the partial for all-T, the synopsis for all-M. The synopsis points
-  /// into the epoch scratch; both are valid until the next RunEpoch.
+  /// synopsis), or nullptr before the first epoch. A pinned labelling
+  /// surfaces one side only: the partial for all-T, the synopsis for
+  /// all-M. The synopsis points into the epoch scratch; both are valid
+  /// until the next RunEpoch.
   const typename A::TreePartial* root_partial() const {
     return root_partial_ ? &*root_partial_ : nullptr;
   }
@@ -211,7 +197,7 @@ class SoaTributaryDeltaAggregator {
 
   RegionState& region() { return region_; }
   const RegionState& region() const { return region_; }
-  const Stats& stats() const { return stats_; }
+  const EngineStats& stats() const { return stats_; }
   const ScratchStats& scratch_stats() const { return scratch_stats_; }
 
  private:
@@ -243,7 +229,7 @@ class SoaTributaryDeltaAggregator {
         aggregate_(aggregate),
         labelling_(labelling),
         options_(options),
-        contrib_memo_(FmSketch::kDefaultBitmaps, options.contrib_seed),
+        contrib_memo_(FmSketch::kDefaultBitmaps, kContribSeed),
         region_(tree, rings),
         damper_(options.adaptation) {
     TD_CHECK(tree != nullptr);
@@ -307,10 +293,8 @@ class SoaTributaryDeltaAggregator {
         base_partial ? *base_partial : *empty_tree_partial_, base_synopsis);
     out.true_contributing = ComputeContributors(base);
     out.reported_contributing = base_tree_count + delta_count;
-    if (options_.capture_root) {
-      if (base_partial) root_partial_ = std::move(base_partial);
-      if (HasDelta()) root_synopsis_ = &base_synopsis;
-    }
+    if (base_partial) root_partial_ = std::move(base_partial);
+    if (HasDelta()) root_synopsis_ = &base_synopsis;
     if (policy_ != nullptr) {
       RecordFeedback(base, base_tree_count, delta_count,
                      out.reported_contributing);
@@ -394,7 +378,7 @@ class SoaTributaryDeltaAggregator {
     // order of the two does not matter).
     std::memcpy(out_contrib_.data(), contrib_inbox_.Slot(v),
                 contrib_words_ * sizeof(uint32_t));
-    FmSketch::AddKeyBits(v, options_.contrib_seed, out_contrib_.data(),
+    FmSketch::AddKeyBits(v, kContribSeed, out_contrib_.data(),
                          contrib_words_);
 
     const bool adaptive = labelling_ == Labelling::kAdaptive;
@@ -594,7 +578,7 @@ class SoaTributaryDeltaAggregator {
         contrib_words_ = static_cast<size_t>(FmSketch::kDefaultBitmaps);
         out_contrib_.assign(contrib_words_, 0);
         contrib_eval_ =
-            FmSketch(FmSketch::kDefaultBitmaps, options_.contrib_seed);
+            FmSketch(FmSketch::kDefaultBitmaps, kContribSeed);
         if constexpr (SoaFmSynopsis<A>) {
           eval_syn_.emplace(aggregate_->EmptySynopsis());
           convert_scratch_.emplace(aggregate_->EmptySynopsis());
@@ -701,7 +685,7 @@ class SoaTributaryDeltaAggregator {
   RegionState region_;
   std::unique_ptr<AdaptationPolicy> policy_;  // null for a pinned labelling
   OscillationDamper damper_;
-  Stats stats_;
+  EngineStats stats_;
   std::vector<MissingAgg> missing_inbox_;
   std::map<NodeId, uint64_t> frontier_missing_;
   std::vector<size_t> subtree_size_;

@@ -26,15 +26,14 @@ std::vector<size_t> CanonicalScope(std::vector<size_t> gateways,
 
 SubscriptionBroker::SubscriptionBroker(Coordinator* coordinator,
                                        std::vector<Query> queries,
-                                       std::vector<WindowSides> gateway_sides,
-                                       Options options)
+                                       size_t num_gateways, Options options)
     : coordinator_(coordinator),
       queries_(std::move(queries)),
-      gateway_sides_(std::move(gateway_sides)),
+      num_gateways_(num_gateways),
       options_(options) {
   TD_CHECK(coordinator_ != nullptr);
   TD_CHECK_EQ(queries_.size(), coordinator_->num_queries());
-  TD_CHECK_MSG(!gateway_sides_.empty(),
+  TD_CHECK_MSG(num_gateways_ > 0,
                "a federation needs at least one gateway");
 }
 
@@ -43,7 +42,7 @@ SubscriberId SubscriptionBroker::Subscribe(const Subscription& subscription) {
                "subscription references an unknown query: the index must "
                "name one of the federation's AddQuery entries");
   for (size_t g : subscription.gateways) {
-    TD_CHECK_MSG(g < gateway_sides_.size(),
+    TD_CHECK_MSG(g < num_gateways_,
                  "subscription references an unknown gateway: the scope "
                  "filter must name gateways the federation actually has");
   }
@@ -54,7 +53,7 @@ SubscriberId SubscriptionBroker::Subscribe(const Subscription& subscription) {
 
   Subscription canonical = subscription;
   canonical.gateways =
-      CanonicalScope(std::move(canonical.gateways), gateway_sides_.size());
+      CanonicalScope(std::move(canonical.gateways), num_gateways_);
 
   uint64_t group_id;
   if (options_.dedup) {
@@ -109,8 +108,8 @@ void SubscriptionBroker::Unsubscribe(SubscriberId id) {
 }
 
 void SubscriptionBroker::DeliverEpoch(uint32_t /*epoch*/,
-                                      const std::vector<FedRootState>& roots) {
-  TD_CHECK_EQ(roots.size(), gateway_sides_.size());
+                                      const std::vector<RootState>& roots) {
+  TD_CHECK_EQ(roots.size(), num_gateways_);
   last_epoch_chains_ = 0;
 
   // One merged FedState per distinct gateway scope this epoch (dedup mode);
@@ -125,7 +124,7 @@ void SubscriptionBroker::DeliverEpoch(uint32_t /*epoch*/,
     auto run_chain = [&]() {
       FedState merged = coordinator_->MakeState();
       if (scope.empty()) {
-        for (const FedRootState& root : roots) coordinator_->Merge(&merged, root);
+        for (const RootState& root : roots) coordinator_->Merge(&merged, root);
       } else {
         for (size_t g : scope) coordinator_->Merge(&merged, roots[g]);
       }
@@ -143,15 +142,10 @@ void SubscriptionBroker::DeliverEpoch(uint32_t /*epoch*/,
       state = &local;
     }
 
-    const size_t q = group.subscription.query;
-    double value;
-    if (group.window != nullptr) {
-      value = group.window->Observe(
-          state->has_tree ? state->partials[q].get() : nullptr,
-          state->has_synopsis ? state->synopses[q].get() : nullptr);
-    } else {
-      value = coordinator_->Evaluate(*state, q);
-    }
+    const QueryRootState& root = (*state)[group.subscription.query];
+    const double value = group.window != nullptr
+                             ? group.window->Observe(root.view())
+                             : root.Evaluate();
     group.values.push_back(value);
     group.deliveries += group.subscribers;
     total_deliveries_ += group.subscribers;
@@ -187,28 +181,13 @@ uint64_t SubscriptionBroker::CreateGroup(const Subscription& canonical) {
   if (canonical.window.windowed()) {
     group.window = std::make_unique<QueryWindow>(
         api_internal::MakeQueryOps(queries_[canonical.query]),
-        canonical.window, ScopeSides(canonical.gateways));
+        canonical.window);
   }
   const uint64_t id = next_group_id_++;
   groups_.emplace(id, std::move(group));
   obs::CountEvent("broker.groups_created");
   obs::Emit(obs::EventKind::kGroupCreated, -1, static_cast<int64_t>(id));
   return id;
-}
-
-WindowSides SubscriptionBroker::ScopeSides(
-    const std::vector<size_t>& gateways) const {
-  WindowSides sides;
-  auto fold = [&sides](const WindowSides& g) {
-    sides.tree = sides.tree || g.tree;
-    sides.synopsis = sides.synopsis || g.synopsis;
-  };
-  if (gateways.empty()) {
-    for (const WindowSides& g : gateway_sides_) fold(g);
-  } else {
-    for (size_t g : gateways) fold(gateway_sides_[g]);
-  }
-  return sides;
 }
 
 }  // namespace td

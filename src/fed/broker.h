@@ -76,12 +76,10 @@ class SubscriptionBroker {
   };
 
   /// `queries` are the federation's RESOLVED queries (the broker builds a
-  /// fresh QueryOps per windowed group from them); `gateway_sides` maps
-  /// each gateway to the root-state sides its strategy surfaces
-  /// (RootStateSides). The coordinator must outlive the broker.
+  /// fresh QueryOps per windowed group from them); `num_gateways` is the
+  /// federation's gateway count. The coordinator must outlive the broker.
   SubscriptionBroker(Coordinator* coordinator, std::vector<Query> queries,
-                     std::vector<WindowSides> gateway_sides,
-                     Options options = {});
+                     size_t num_gateways, Options options = {});
 
   /// Registers a subscription, joining an existing group when an identical
   /// one is live (dedup mode). Fails fast (TD_CHECK_MSG) on a subscription
@@ -96,8 +94,9 @@ class SubscriptionBroker {
   /// Serves one epoch: merges each live group's gateway scope through the
   /// coordinator (groups sharing a scope share one merge chain in dedup
   /// mode), advances windows, and records one delivery per subscriber.
-  /// `roots` is one entry per gateway, index-aligned with gateway ids.
-  void DeliverEpoch(uint32_t epoch, const std::vector<FedRootState>& roots);
+  /// `roots` is one query-set engine root state per gateway, index-aligned
+  /// with gateway ids.
+  void DeliverEpoch(uint32_t epoch, const std::vector<RootState>& roots);
 
   size_t num_subscribers() const { return subscriber_to_group_.size(); }
   size_t num_groups() const { return groups_.size(); }
@@ -139,11 +138,10 @@ class SubscriptionBroker {
   };
 
   uint64_t CreateGroup(const Subscription& canonical);
-  WindowSides ScopeSides(const std::vector<size_t>& gateways) const;
 
   Coordinator* coordinator_;
   std::vector<Query> queries_;
-  std::vector<WindowSides> gateway_sides_;
+  size_t num_gateways_;
   Options options_;
 
   // Live groups by creation id (iteration order == creation order, which

@@ -15,9 +15,10 @@
 //
 // Mixed-strategy federations merge naturally: tree-strategy gateways
 // contribute exact partials, synopsis-diffusion gateways contribute fused
-// synopses, Tributary-Delta gateways both; evaluation picks EvaluateTree /
-// EvaluateSynopsis / EvaluateCombined by which sides arrived, exactly as
-// the windows layer does.
+// synopses, Tributary-Delta gateways both. Each query's merged state is a
+// QueryRootState (agg/query_set.h), whose live sides -- the sides that
+// arrived -- pick EvaluateTree / EvaluateSynopsis / EvaluateCombined,
+// exactly as in the windows layer.
 //
 // Q-digest queries (quant/qdigest_aggregate.h) ride through unchanged:
 // per-gateway digests merge losslessly (node-wise count addition), so the
@@ -38,26 +39,10 @@
 
 namespace td {
 
-/// One gateway's per-epoch root state, as exported by a query-set engine
-/// (Engine::root_state() cast to the query-set payload vectors). A side is
-/// null when the gateway's strategy does not surface it. Pointers stay
-/// valid until the gateway's next RunEpoch -- merge before stepping on.
-struct FedRootState {
-  const QuerySetTreePartial* partial = nullptr;
-  const QuerySetSynopsis* synopsis = nullptr;
-};
-
-/// A merged coordinator-tier state: one payload per query and side.
-/// has_tree / has_synopsis record which sides any merged gateway actually
-/// carried, which is what evaluation (and window feeding) keys off.
-struct FedState {
-  std::vector<qs_internal::PayloadBox<qs_internal::TreePayloadTraits>>
-      partials;
-  std::vector<qs_internal::PayloadBox<qs_internal::SynopsisPayloadTraits>>
-      synopses;
-  bool has_tree = false;
-  bool has_synopsis = false;
-};
+/// A merged coordinator-tier state: one root state per query, index-
+/// aligned with the federation's query list; state[i].Evaluate() is query
+/// i's merged answer.
+using FedState = std::vector<QueryRootState>;
 
 /// Merges gateway root states and evaluates global per-query answers.
 /// Owns one QueryOps per query (index-aligned with the federation's query
@@ -71,20 +56,19 @@ class Coordinator {
   size_t num_queries() const { return queries_.size(); }
   const QueryOps& ops(size_t query) const { return *queries_[query]; }
 
-  /// A fresh empty state (all payloads allocated, no sides live yet).
+  /// A fresh state: one root state per query, no sides live yet (a
+  /// never-merged state answers as an empty aggregation).
   FedState MakeState() const;
 
-  /// state := state (+) root: per-query MergeTree of the partial side and
-  /// Fuse of the synopsis side, whichever the root carries. Gateway roots
-  /// arrive already finalized (FinalizeTreePartial ran at each gateway's
-  /// base), so no further finalize is needed -- registry finalizers only
-  /// stamp the subtree origin, which evaluation ignores.
-  void Merge(FedState* state, const FedRootState& root);
-
-  /// The merged state's answer for `query`, picking the evaluation form
-  /// from the sides that arrived. A never-merged state answers as an empty
-  /// aggregation (EvaluateTree of the empty partial).
-  double Evaluate(const FedState& state, size_t query) const;
+  /// state := state (+) root, where `root` is one gateway's query-set
+  /// engine root state (Engine::root_state; valid until that gateway's
+  /// next epoch -- merge before stepping on). Per query, MergeTree of the
+  /// partial side and Fuse of the synopsis side, whichever the root
+  /// carries. Gateway roots arrive already finalized (FinalizeTreePartial
+  /// ran at each gateway's base), so no further finalize is needed --
+  /// registry finalizers only stamp the subtree origin, which evaluation
+  /// ignores.
+  void Merge(FedState* state, const RootState& root);
 
   /// Payload merges performed (one per query-side-gateway combine) and
   /// payload bytes merged, cumulative over the coordinator's lifetime.

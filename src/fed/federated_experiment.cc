@@ -5,7 +5,6 @@
 #include "util/check.h"
 #include "util/hash.h"
 #include "util/stats.h"
-#include "window/query_window.h"
 
 namespace td {
 
@@ -73,8 +72,6 @@ FederatedExperiment FederatedExperiment::Builder::Build() {
   // and (optionally) dynamics, all seeded from (network seed, gateway id)
   // so RunTrials stays bit-identical for any thread count. Gateway g runs
   // exactly what an Experiment with NetworkSeed(Hash64(seed, g)) runs.
-  std::vector<WindowSides> sides;
-  sides.reserve(gateways_.size());
   for (size_t g = 0; g < gateways_.size(); ++g) {
     const GatewayConfig& config = gateways_[g];
     GatewaySpec spec;
@@ -92,15 +89,10 @@ FederatedExperiment FederatedExperiment::Builder::Build() {
 
     // Always the query-set engine, even for one query: every gateway root
     // state is then a QuerySetTreePartial / QuerySetSynopsis with one
-    // payload per query, which is the layout the coordinator slices. The
-    // coordinator lives off every gateway's root state, so capture is
-    // switched on through the engine options.
-    EngineOptions options = config.options;
-    options.capture_root_state = true;
+    // payload per query, which is the layout the coordinator slices.
     gw.Install(std::make_shared<QuerySetAggregate>(
                    api_internal::MakeQueryOps(queries), primary_),
-               config.strategy, options);
-    sides.push_back(RootStateSides(config.strategy));
+               config.strategy, config.options);
   }
 
   // Ground truths: per gateway over the shard's up sensors, and globally
@@ -128,7 +120,7 @@ FederatedExperiment FederatedExperiment::Builder::Build() {
 
   // The serving layer, preloaded with the builder-time subscriptions.
   exp.broker_ = std::make_unique<SubscriptionBroker>(
-      exp.coordinator_.get(), queries, std::move(sides),
+      exp.coordinator_.get(), queries, exp.gateways_.size(),
       SubscriptionBroker::Options{.dedup = dedup_});
   for (const auto& [sub, count] : subscriptions_) {
     for (size_t i = 0; i < count; ++i) exp.broker_->Subscribe(sub);
@@ -192,22 +184,18 @@ FedEpochResult FederatedExperiment::StepEpoch(uint32_t epoch) {
   r.gateway_values.resize(num_gw);
 
   // Tier 1+2: every gateway aggregates its shard over its own radio.
-  std::vector<FedRootState> roots(num_gw);
+  std::vector<RootState> roots(num_gw);
   for (size_t g = 0; g < num_gw; ++g) {
     r.gateway_values[g] = gateways_[g].Step(epoch).query_values;
-    const RootState rs = gateways_[g].engine().root_state();
-    roots[g] = FedRootState{
-        static_cast<const QuerySetTreePartial*>(rs.tree_partial),
-        static_cast<const QuerySetSynopsis*>(rs.synopsis)};
+    roots[g] = gateways_[g].engine().root_state();
   }
 
-  // Tier 3: the coordinator merges every gateway into the global answers.
+  // Tier 3: the coordinator merges every gateway into the global answers,
+  // slicing each query out of each gateway's root (SliceQueryRoot).
   FedState st = coordinator_->MakeState();
-  for (const FedRootState& root : roots) coordinator_->Merge(&st, root);
+  for (const RootState& root : roots) coordinator_->Merge(&st, root);
   r.global_values.reserve(nq);
-  for (size_t i = 0; i < nq; ++i) {
-    r.global_values.push_back(coordinator_->Evaluate(st, i));
-  }
+  for (const QueryRootState& q : st) r.global_values.push_back(q.Evaluate());
 
   // Tier 4: fan the epoch out to the standing subscriptions.
   broker_->DeliverEpoch(epoch, roots);

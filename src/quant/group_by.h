@@ -8,7 +8,7 @@
 // one A-state and evaluated -- so a grouped query drops into every scalar
 // surface (EpochResult.value, windows, federation) unchanged; the
 // per-group vector comes out through EvaluateGroups, which the Experiment
-// facade reads from the captured root state (QuerySeries.group_estimates).
+// facade reads from the root state (QuerySeries.group_estimates).
 //
 // Byte model: TreeBytes/SynopsisBytes sum over ALL group slots, empty ones
 // included -- the honest cost of shipping a G-wide payload vector every
@@ -115,8 +115,8 @@ class GroupByAggregate {
     return static_cast<double>(inner_.EvaluateCombined(ap, as));
   }
 
-  /// Per-group answers from a captured root state; either side may be
-  /// null when the strategy does not surface it (see RootStateSides).
+  /// Per-group answers from a root state; either side may be null when
+  /// it did not reach the base.
   void EvaluateGroups(const TreePartial* p, const Synopsis* s,
                       std::vector<double>* out) const {
     const size_t n = num_groups();

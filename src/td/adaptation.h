@@ -19,6 +19,7 @@
 #ifndef TD_TD_ADAPTATION_H_
 #define TD_TD_ADAPTATION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -90,6 +91,13 @@ struct AdaptationFeedback {
 };
 
 enum class AdaptAction { kNone, kExpand, kShrink };
+
+/// Adaptation counters of one engine; all zeros for a pinned labelling.
+struct EngineStats {
+  size_t expansions = 0;
+  size_t shrinks = 0;
+  size_t decisions = 0;  // includes rounds that changed nothing
+};
 
 class AdaptationPolicy {
  public:

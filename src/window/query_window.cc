@@ -7,26 +7,16 @@
 
 namespace td {
 
-WindowSides RootStateSides(Strategy strategy) {
-  WindowSides sides;
-  sides.tree = strategy != Strategy::kSynopsisDiffusion;
-  sides.synopsis =
-      strategy == Strategy::kSynopsisDiffusion || IsAdaptive(strategy);
-  return sides;
-}
-
-QueryWindow::QueryWindow(std::unique_ptr<QueryOps> ops, WindowSpec spec,
-                         WindowSides sides)
-    : ops_(std::move(ops)), spec_(spec), sides_(sides), erased_(ops_.get()) {
+QueryWindow::QueryWindow(std::unique_ptr<QueryOps> ops, WindowSpec spec)
+    : ops_(std::move(ops)), spec_(spec) {
   TD_CHECK(ops_ != nullptr);
-  TD_CHECK(sides.tree || sides.synopsis);
   switch (spec_.kind) {
     case WindowKind::kSliding:
-      sliding_.emplace(&erased_, spec_.width, sides_);
+      sliding_.emplace(ops_.get(), spec_.width);
       break;
     case WindowKind::kTumbling:
     case WindowKind::kHopping:
-      hopping_.emplace(&erased_, spec_.width, spec_.hop, sides_);
+      hopping_.emplace(ops_.get(), spec_.width, spec_.hop);
       break;
     case WindowKind::kDecayed:
       break;
@@ -36,13 +26,12 @@ QueryWindow::QueryWindow(std::unique_ptr<QueryOps> ops, WindowSpec spec,
   }
 }
 
-double QueryWindow::Observe(const void* partial, const void* synopsis) {
+double QueryWindow::Observe(const RootState& root) {
   if (spec_.kind == WindowKind::kDecayed) {
     double num = 0.0;
     double den = 0.0;
-    ops_->EvaluateWindowComponents(sides_.tree ? partial : nullptr,
-                                   sides_.synopsis ? synopsis : nullptr,
-                                   &num, &den);
+    ops_->EvaluateWindowComponents(root.tree_partial, root.synopsis, &num,
+                                   &den);
     if (!decay_seeded_) {
       num_ewma_ = num;
       den_ewma_ = den;
@@ -54,23 +43,15 @@ double QueryWindow::Observe(const void* partial, const void* synopsis) {
     return den_ewma_ <= 0.0 ? 0.0 : num_ewma_ / den_ewma_;
   }
 
-  auto fill = [&](window_internal::WindowState<Erased>& st) {
-    if (sides_.tree && partial != nullptr) {
-      ops_->AssignTreePartial(st.partial.get(), partial);
-    }
-    if (sides_.synopsis && synopsis != nullptr) {
-      ops_->AssignSynopsis(st.synopsis.get(), synopsis);
-    }
-  };
   TD_PROFILE_SCOPE(obs::Phase::kWindowCombine);
   const size_t merges_before = merges();
   double value;
   if (sliding_) {
-    sliding_->PushWith(fill);
+    sliding_->Push(root);
     value = sliding_->Evaluate();
   } else {
     TD_CHECK(hopping_.has_value());
-    hopping_->PushWith(fill);
+    hopping_->Push(root);
     value = hopping_->Evaluate();
   }
   // State-maintenance merges this push performed (two-stacks flips show up

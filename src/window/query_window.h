@@ -1,15 +1,10 @@
-// The type-erased per-query window the Experiment facade drives: one
-// QueryWindow per windowed query, fed the query's slice of the engine's
+// The per-query window the Experiment facade and the federation broker
+// drive: one QueryWindow per windowed query, fed the query's slice of the
 // per-epoch root state (tree partial and/or synopsis as opaque payloads
 // behind the query's QueryOps vtable), producing the windowed scalar
-// series.
-//
-// The combiners are the generic templates of window/sliding_window.h
-// instantiated over ErasedWindowAggregate -- a WindowableAggregate whose
-// TreePartial/Synopsis are the query-set payload boxes -- so the facade
-// path and the typed SlidingWindow<A> path share one two-stacks
-// implementation and cannot drift apart. The decayed (EWMA) path needs no
-// state re-merging at all: it folds the per-epoch numerator/denominator
+// series. Sliding, tumbling and hopping windows run the combiners of
+// window/sliding_window.h. The decayed (EWMA) path needs no state
+// re-merging at all: it folds the per-epoch numerator/denominator
 // components (QueryOps::EvaluateWindowComponents) into two scalars.
 #ifndef TD_WINDOW_QUERY_WINDOW_H_
 #define TD_WINDOW_QUERY_WINDOW_H_
@@ -23,71 +18,18 @@
 
 namespace td {
 
-/// Which sides of the root state a strategy surfaces through
-/// Engine::root_state(): tree engines the exact partial, synopsis
-/// diffusion the fused synopsis, Tributary-Delta both. The one
-/// strategy-to-sides mapping in the codebase -- the Experiment facade's
-/// windows and the federation coordinator both consume root states, and
-/// they must agree on which sides exist.
-WindowSides RootStateSides(Strategy strategy);
-
-namespace window_internal {
-
-/// WindowableAggregate over a query's type-erased operations. Payload
-/// boxes own clones allocated through the same QueryOps, so merges and
-/// evaluations dispatch to the member aggregate's own (bit-identical)
-/// operations.
-class ErasedWindowAggregate {
- public:
-  using TreePartial = qs_internal::PayloadBox<qs_internal::TreePayloadTraits>;
-  using Synopsis =
-      qs_internal::PayloadBox<qs_internal::SynopsisPayloadTraits>;
-  using Result = double;
-
-  explicit ErasedWindowAggregate(const QueryOps* ops) : ops_(ops) {}
-
-  TreePartial EmptyTreePartial() const { return TreePartial(ops_); }
-  Synopsis EmptySynopsis() const { return Synopsis(ops_); }
-  void MergeTree(TreePartial* into, const TreePartial& from) const {
-    ops_->MergeTree(into->get(), from.get());
-  }
-  void Fuse(Synopsis* into, const Synopsis& from) const {
-    ops_->Fuse(into->get(), from.get());
-  }
-  double EvaluateTree(const TreePartial& p) const {
-    return ops_->EvaluateTree(p.get());
-  }
-  double EvaluateSynopsis(const Synopsis& s) const {
-    return ops_->EvaluateSynopsis(s.get());
-  }
-  double EvaluateCombined(const TreePartial& p, const Synopsis& s) const {
-    return ops_->EvaluateCombined(p.get(), s.get());
-  }
-
-  const QueryOps& ops() const { return *ops_; }
-
- private:
-  const QueryOps* ops_;
-};
-
-static_assert(WindowableAggregate<ErasedWindowAggregate>);
-
-}  // namespace window_internal
-
 /// One standing query's window at the base station. Observe once per
-/// epoch, in epoch order, with the query's root payloads (either side may
-/// be null when the engine strategy does not surface it; which sides are
-/// live is fixed per strategy and passed at construction).
+/// epoch, in epoch order, with the query's root state; its live sides pick
+/// the evaluation form.
 class QueryWindow {
  public:
   /// `ops` are the query's type-erased operations (the window takes
   /// ownership; a fresh MakeQueryOps instance is fine -- every operation a
   /// window uses is a pure function of the query's parameters).
-  QueryWindow(std::unique_ptr<QueryOps> ops, WindowSpec spec,
-              WindowSides sides);
+  QueryWindow(std::unique_ptr<QueryOps> ops, WindowSpec spec);
 
   /// Feeds one epoch's root state and returns the current windowed value.
-  double Observe(const void* partial, const void* synopsis);
+  double Observe(const RootState& root);
 
   /// State-maintenance merges so far (see SlidingWindow::merges; 0 for
   /// the decayed path, which folds scalars).
@@ -96,14 +38,10 @@ class QueryWindow {
   const WindowSpec& spec() const { return spec_; }
 
  private:
-  using Erased = window_internal::ErasedWindowAggregate;
-
   std::unique_ptr<QueryOps> ops_;
   WindowSpec spec_;
-  WindowSides sides_;
-  Erased erased_;
-  std::optional<SlidingWindow<Erased>> sliding_;
-  std::optional<HoppingWindow<Erased>> hopping_;
+  std::optional<SlidingWindow> sliding_;
+  std::optional<HoppingWindow> hopping_;
   // Decayed path: EWMAs of the per-epoch numerator/denominator components.
   bool decay_seeded_ = false;
   double num_ewma_ = 0.0;

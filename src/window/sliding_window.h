@@ -1,14 +1,16 @@
-// Generic window combiners over per-epoch root aggregate state.
+// Window combiners over per-epoch root aggregate state.
 //
 // The base station ends every epoch holding the root of the aggregation: an
 // exact tree partial (tree strategies), a fused synopsis (multi-path), or
 // both (Tributary-Delta, combined with EvaluateCombined). Windowed
-// aggregation re-merges those per-epoch root states with the Aggregate
-// concept's OWN merge operations -- MergeTree on the partial side, Fuse on
-// the synopsis side -- so every aggregate that can ride the engines can ride
-// a window, with no inverse ("subtract the expired epoch") required:
+// aggregation re-merges those per-epoch root states, held as one query's
+// QueryRootState (agg/query_set.h), with the aggregate's OWN merge
+// operations -- MergeTree on the partial side, Fuse on the synopsis side --
+// so every aggregate that can ride the engines can ride a window, with no
+// inverse ("subtract the expired epoch") required. The evaluation form
+// follows the sides the root states carry.
 //
-//   * SlidingWindow<A>: the last W epochs via the two-stacks technique.
+//   * SlidingWindow: the last W epochs via the two-stacks technique.
 //     A FIFO aggregate without inverses keeps two stacks: `back` holds the
 //     newest elements with a running prefix merge, `front` holds suffix
 //     merges of the older elements. Pushing merges once into the back
@@ -23,150 +25,43 @@
 //     evaluation does one extra scratch combine, never counted as state
 //     maintenance.
 //
-//   * HoppingWindow<A>: windows of W epochs starting every `hop` epochs,
+//   * HoppingWindow: windows of W epochs starting every `hop` epochs,
 //     reporting the most recently COMPLETED window (emit-on-close, the
 //     streaming-standard semantics; tumbling == hop = W). Keeps one running
 //     accumulator per open window (<= ceil(W/hop) of them). Before the
 //     first window completes it reports the running merge of the first
 //     window, so a width-1 window still equals the instantaneous series.
 //
-// Both templates are pure base-station code: they never touch the network,
-// never alter radio payloads, and work for any WindowableAggregate --
-// including the type-erased wrapper in window/query_window.h that drives
-// them over QueryOps payloads.
+// Both are pure base-station code: they never touch the network and never
+// alter radio payloads.
 #ifndef TD_WINDOW_SLIDING_WINDOW_H_
 #define TD_WINDOW_SLIDING_WINDOW_H_
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <utility>
+#include <optional>
 #include <vector>
 
-#include "util/check.h"
+#include "agg/query_set.h"
 
 namespace td {
 
-/// The slice of the Aggregate concept a window combiner needs: empty
-/// states, the two merges, and the three evaluation forms. Satisfied by
-/// every registry aggregate and by window_internal::ErasedWindowAggregate.
-template <typename A>
-concept WindowableAggregate =
-    requires(const A a, typename A::TreePartial p, typename A::Synopsis s) {
-      { a.EmptyTreePartial() } -> std::same_as<typename A::TreePartial>;
-      { a.EmptySynopsis() } -> std::same_as<typename A::Synopsis>;
-      { a.MergeTree(&p, p) };
-      { a.Fuse(&s, s) };
-      { a.EvaluateTree(p) };
-      { a.EvaluateSynopsis(s) };
-      { a.EvaluateCombined(p, s) };
-    };
-
-/// Which sides of the root state a window maintains. Tree strategies
-/// surface only the exact root partial, synopsis diffusion only the fused
-/// root synopsis, Tributary-Delta both; evaluation picks the matching
-/// EvaluateTree / EvaluateSynopsis / EvaluateCombined so a width-1 window
-/// is bit-identical to the engine's instantaneous answer.
-struct WindowSides {
-  bool tree = false;
-  bool synopsis = false;
-};
-
-namespace window_internal {
-
-/// One epoch's root state (both sides always constructed so merges have a
-/// valid destination; unused sides are never merged or evaluated).
-template <WindowableAggregate A>
-struct WindowState {
-  typename A::TreePartial partial;
-  typename A::Synopsis synopsis;
-};
-
-template <WindowableAggregate A>
-WindowState<A> EmptyState(const A& agg) {
-  return WindowState<A>{agg.EmptyTreePartial(), agg.EmptySynopsis()};
-}
-
-/// into := merge(into, from) on the active sides; `into` must be the
-/// chronologically OLDER state (MergeTree/Fuse keep `into` on conflicts,
-/// e.g. duplicate sample ids, so older-on-the-left reproduces the
-/// brute-force oldest-to-newest fold bit-for-bit).
-template <WindowableAggregate A>
-void MergeState(const A& agg, WindowSides sides, WindowState<A>* into,
-                const WindowState<A>& from) {
-  if (sides.tree) agg.MergeTree(&into->partial, from.partial);
-  if (sides.synopsis) agg.Fuse(&into->synopsis, from.synopsis);
-}
-
-template <WindowableAggregate A>
-typename A::Result EvaluateState(const A& agg, WindowSides sides,
-                                 const WindowState<A>& st) {
-  if (sides.tree && sides.synopsis) {
-    return agg.EvaluateCombined(st.partial, st.synopsis);
-  }
-  if (sides.tree) return agg.EvaluateTree(st.partial);
-  TD_CHECK(sides.synopsis);
-  return agg.EvaluateSynopsis(st.synopsis);
-}
-
-}  // namespace window_internal
-
 /// Sliding window over the last `width` epochs (two-stacks; see the file
-/// comment). Push one root state per epoch via PushWith, then Evaluate.
-template <WindowableAggregate A>
+/// comment). Push one root state per epoch, then Evaluate.
 class SlidingWindow {
  public:
-  using State = window_internal::WindowState<A>;
+  /// `ops` are the query's operations; they must outlive the window.
+  SlidingWindow(const QueryOps* ops, uint32_t width);
 
-  SlidingWindow(const A* aggregate, uint32_t width, WindowSides sides)
-      : agg_(aggregate), width_(width), sides_(sides) {
-    TD_CHECK(aggregate != nullptr);
-    TD_CHECK_GT(width, 0u);
-    TD_CHECK(sides.tree || sides.synopsis);
-  }
+  /// Appends one epoch's root state (copied; evicting the oldest once
+  /// full).
+  void Push(const RootState& root);
 
-  /// Appends one epoch's root state (evicting the oldest once full).
-  /// `fill` writes the new state into an empty-initialized State&.
-  template <typename Fill>
-  void PushWith(Fill&& fill) {
-    if (size() == width_) {
-      if (front_.empty()) Flip();
-      front_.pop_back();
-    }
-    back_.push_back(window_internal::EmptyState(*agg_));
-    fill(back_.back());
-    if (back_.size() == 1) {
-      back_agg_ = back_.back();  // first element: assignment, not a merge
-    } else {
-      window_internal::MergeState(*agg_, sides_, &back_agg_, back_.back());
-      ++merges_;
-    }
-  }
-
-  /// Convenience for typed callers: copies the provided sides in.
-  void Push(const typename A::TreePartial* p, const typename A::Synopsis* s) {
-    PushWith([&](State& st) {
-      if (p != nullptr) st.partial = *p;
-      if (s != nullptr) st.synopsis = *s;
-    });
-  }
-
-  /// The aggregate's answer over the (up to) last `width` pushed states.
-  /// One scratch combine when both stacks are live; not a state-
-  /// maintenance merge (see merges()).
-  typename A::Result Evaluate() const {
-    TD_CHECK_GT(size(), 0u);
-    if (front_.empty()) {
-      return window_internal::EvaluateState(*agg_, sides_, back_agg_);
-    }
-    if (back_.empty()) {
-      return window_internal::EvaluateState(*agg_, sides_, front_.back());
-    }
-    State scratch = front_.back();
-    window_internal::MergeState(*agg_, sides_, &scratch, back_agg_);
-    return window_internal::EvaluateState(*agg_, sides_, scratch);
-  }
+  /// The query's answer over the (up to) last `width` pushed states. One
+  /// scratch combine when both stacks are live; not a state-maintenance
+  /// merge (see merges()).
+  double Evaluate() const;
 
   size_t size() const { return front_.size() + back_.size(); }
   uint32_t width() const { return width_; }
@@ -181,109 +76,42 @@ class SlidingWindow {
   /// front.back() aggregates ALL flipped elements, and each pop_back
   /// (evicting the oldest) exposes the merge of the remainder. Built
   /// newest-to-oldest with the older element always on the left.
-  void Flip() {
-    TD_CHECK(front_.empty());
-    TD_CHECK(!back_.empty());
-    front_.reserve(back_.size());
-    for (size_t i = back_.size(); i-- > 0;) {
-      if (front_.empty()) {
-        front_.push_back(std::move(back_[i]));
-      } else {
-        State suffix = back_[i];
-        window_internal::MergeState(*agg_, sides_, &suffix, front_.back());
-        ++merges_;
-        front_.push_back(std::move(suffix));
-      }
-    }
-    back_.clear();
-    back_agg_ = window_internal::EmptyState(*agg_);
-  }
+  void Flip();
 
-  const A* agg_;
+  const QueryOps* ops_;
   uint32_t width_;
-  WindowSides sides_;
   // front_.back() = oldest element's suffix merge; back_ = raw newest
   // elements in arrival order; back_agg_ = their running merge.
-  std::vector<State> front_;
-  std::vector<State> back_;
-  State back_agg_ = window_internal::EmptyState(*agg_);
+  std::vector<QueryRootState> front_;
+  std::vector<QueryRootState> back_;
+  QueryRootState back_agg_;
   size_t merges_ = 0;
 };
 
 /// Hopping window (tumbling when hop == width): reports the most recently
 /// completed window [k*hop, k*hop + width), emit-on-close; before any
 /// window completes, the running merge of the first window.
-template <WindowableAggregate A>
 class HoppingWindow {
  public:
-  using State = window_internal::WindowState<A>;
+  /// `ops` are the query's operations; they must outlive the window.
+  HoppingWindow(const QueryOps* ops, uint32_t width, uint32_t hop);
 
-  HoppingWindow(const A* aggregate, uint32_t width, uint32_t hop,
-                WindowSides sides)
-      : agg_(aggregate), width_(width), hop_(hop), sides_(sides) {
-    TD_CHECK(aggregate != nullptr);
-    TD_CHECK_GT(width, 0u);
-    TD_CHECK_GT(hop, 0u);
-    TD_CHECK_LE(hop, width);
-    TD_CHECK(sides.tree || sides.synopsis);
-  }
-
-  template <typename Fill>
-  void PushWith(Fill&& fill) {
-    State st = window_internal::EmptyState(*agg_);
-    fill(st);
-    if (ticks_ % hop_ == 0) {
-      open_.push_back(Accumulator{window_internal::EmptyState(*agg_), 0});
-    }
-    for (Accumulator& acc : open_) {
-      if (acc.count == 0) {
-        acc.state = st;  // first element: assignment, not a merge
-      } else {
-        window_internal::MergeState(*agg_, sides_, &acc.state, st);
-        ++merges_;
-      }
-      ++acc.count;
-    }
-    ++ticks_;
-    // Windows close oldest-first: only the front can be complete.
-    if (!open_.empty() && open_.front().count == width_) {
-      closed_ = std::move(open_.front().state);
-      has_closed_ = true;
-      open_.pop_front();
-    }
-  }
-
-  void Push(const typename A::TreePartial* p, const typename A::Synopsis* s) {
-    PushWith([&](State& st) {
-      if (p != nullptr) st.partial = *p;
-      if (s != nullptr) st.synopsis = *s;
-    });
-  }
-
-  typename A::Result Evaluate() const {
-    if (has_closed_) {
-      return window_internal::EvaluateState(*agg_, sides_, closed_);
-    }
-    TD_CHECK(!open_.empty());
-    return window_internal::EvaluateState(*agg_, sides_, open_.front().state);
-  }
-
+  void Push(const RootState& root);
+  double Evaluate() const;
   size_t merges() const { return merges_; }
 
  private:
   struct Accumulator {
-    State state;
+    QueryRootState state;
     uint32_t count;
   };
 
-  const A* agg_;
+  const QueryOps* ops_;
   uint32_t width_;
   uint32_t hop_;
-  WindowSides sides_;
   uint64_t ticks_ = 0;
   std::deque<Accumulator> open_;
-  State closed_ = window_internal::EmptyState(*agg_);
-  bool has_closed_ = false;
+  std::optional<QueryRootState> closed_;
   size_t merges_ = 0;
 };
 

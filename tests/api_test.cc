@@ -401,34 +401,29 @@ TEST(ExperimentTest, SharedNetworkDrivesMultipleEngines) {
             2 * (sc.tree.num_in_tree() - 1));
 }
 
-// CaptureRootState populates exactly the strategy's root sides at zero
-// extra radio traffic; without it no state is captured.
-TEST(ExperimentTest, CaptureRootStatePopulatesStrategySides) {
+// Every engine exports its root state with no builder call: after epoch 0
+// it carries exactly the sides that reach the base -- the partial under
+// the tree strategies, the synopsis under synopsis diffusion, both under
+// the Tributary-Delta strategies -- and nothing before the first epoch.
+TEST(ExperimentTest, RootStateCarriesExactlyTheStrategySides) {
   for (Strategy s : kAllStrategies) {
-    auto builder = [&] {
-      Experiment::Builder b;
-      b.Synthetic(41, 150)
-          .Aggregate(AggregateKind::kSum)
-          .Reading([](NodeId v, uint32_t e) { return v + e; })
-          .Strategy(s)
-          .GlobalLossRate(0.1)
-          .Epochs(1);
-      return b;
-    };
-    Experiment on = builder().CaptureRootState().Build();
-    Experiment off = builder().Build();
-    EpochResult ra = on.StepEpoch(0);
-    EpochResult rb = off.StepEpoch(0);
-    EXPECT_EQ(ra.value, rb.value);
-    EXPECT_EQ(on.network().total_energy().bytes,
-              off.network().total_energy().bytes);
-    const RootState sa = on.engine().root_state();
-    const WindowSides sides = RootStateSides(s);
-    EXPECT_EQ(sa.tree_partial != nullptr, sides.tree);
-    EXPECT_EQ(sa.synopsis != nullptr, sides.synopsis);
-    const RootState so = off.engine().root_state();
-    EXPECT_EQ(so.tree_partial, nullptr);
-    EXPECT_EQ(so.synopsis, nullptr);
+    Experiment exp = Experiment::Builder()
+                         .Synthetic(41, 150)
+                         .Aggregate(AggregateKind::kSum)
+                         .Reading([](NodeId v, uint32_t e) { return v + e; })
+                         .Strategy(s)
+                         .GlobalLossRate(0.1)
+                         .Epochs(1)
+                         .Build();
+    const RootState before = exp.engine().root_state();
+    EXPECT_EQ(before.tree_partial, nullptr) << StrategyName(s);
+    EXPECT_EQ(before.synopsis, nullptr) << StrategyName(s);
+    exp.StepEpoch(0);
+    const RootState rs = exp.engine().root_state();
+    const bool tree = s != Strategy::kSynopsisDiffusion;
+    const bool synopsis = s == Strategy::kSynopsisDiffusion || IsAdaptive(s);
+    EXPECT_EQ(rs.tree_partial != nullptr, tree) << StrategyName(s);
+    EXPECT_EQ(rs.synopsis != nullptr, synopsis) << StrategyName(s);
   }
 }
 

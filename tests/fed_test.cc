@@ -311,9 +311,9 @@ TEST(FederationTest, CoordinatorMergeIsOrderInvariantForEveryKind) {
         coord.Merge(&tree_only, {&partials[g], nullptr});
         coord.Merge(&syn_only, {nullptr, &synopses[g]});
       }
-      const double tree_val = coord.Evaluate(tree_only, 0);
-      const double syn_val = coord.Evaluate(syn_only, 0);
-      const double combined_val = coord.Evaluate(both, 0);
+      const double tree_val = tree_only[0].Evaluate();
+      const double syn_val = syn_only[0].Evaluate();
+      const double combined_val = both[0].Evaluate();
       if (first) {
         tree_ref = tree_val;
         syn_ref = syn_val;
@@ -334,7 +334,7 @@ TEST(FederationTest, CoordinatorMergeIsOrderInvariantForEveryKind) {
     qs.FinalizeTreePartial(&flat, 0);
     FedState flat_state = coord.MakeState();
     coord.Merge(&flat_state, {&flat, nullptr});
-    EXPECT_EQ(coord.Evaluate(flat_state, 0), tree_ref)
+    EXPECT_EQ(flat_state[0].Evaluate(), tree_ref)
         << AggregateKindName(kind);
   }
 }
@@ -434,6 +434,83 @@ TEST(BrokerTest, GatewayScopedSubscriptionAnswersShardOnly) {
   ASSERT_EQ(groups[0].values.size(), 4u);
   for (double v : groups[0].values) {
     EXPECT_EQ(v, static_cast<double>(fed.shards()[1].size()));
+  }
+}
+
+// A scope's window evaluates in the form its gateways' sides pick: a TAG
+// gateway's scope as a tree, an SD gateway's as a synopsis, and the scope
+// spanning both as combined. Each windowed value equals a brute-force
+// re-merge of the gateway roots over the window's epochs.
+TEST(BrokerTest, MixedScopeWindowCombinesBothSides) {
+  constexpr uint32_t kEpochs = 7;
+  constexpr size_t kWidth = 3;
+  FederatedExperiment fed =
+      FederatedExperiment::Builder()
+          .Synthetic(36, 160)
+          .AddGateway({.strategy = Strategy::kTag})
+          .AddGateway({.strategy = Strategy::kSynopsisDiffusion})
+          .AddQuery({.kind = AggregateKind::kSum})
+          .Reading([](NodeId v, uint32_t e) { return v % 7 + e; })
+          .Epochs(kEpochs)
+          .Build();
+  const std::vector<std::vector<size_t>> scopes = {{0}, {1}, {}};
+  for (const std::vector<size_t>& scope : scopes) {
+    fed.broker().Subscribe({.query = 0,
+                            .window = WindowSpec::Sliding(kWidth),
+                            .gateways = scope});
+  }
+
+  // history[e][g]: gateway g's root state for the query after epoch e.
+  const QueryOps& ops = fed.coordinator().ops(0);
+  std::vector<std::vector<QueryRootState>> history;
+  for (uint32_t e = 0; e < kEpochs; ++e) {
+    fed.StepEpoch(e);
+    std::vector<QueryRootState>& roots = history.emplace_back();
+    for (size_t g = 0; g < fed.num_gateways(); ++g) {
+      roots.emplace_back(&ops).Assign(SliceQueryRoot(
+          fed.gateway_engine(g).root_state(), 0, /*query_set=*/true));
+    }
+    ASSERT_NE(roots[0].view().tree_partial, nullptr);
+    ASSERT_EQ(roots[0].view().synopsis, nullptr);
+    ASSERT_EQ(roots[1].view().tree_partial, nullptr);
+    ASSERT_NE(roots[1].view().synopsis, nullptr);
+  }
+
+  enum class Form { kTree, kSynopsis, kCombined };
+  auto brute = [&](const std::vector<size_t>& gateways, size_t lo, size_t hi,
+                   Form form) {
+    qs_internal::PayloadBox<qs_internal::TreePayloadTraits> p(&ops);
+    qs_internal::PayloadBox<qs_internal::SynopsisPayloadTraits> s(&ops);
+    for (size_t e = lo; e < hi; ++e) {
+      for (size_t g : gateways) {
+        const RootState r = history[e][g].view();
+        if (r.tree_partial != nullptr) ops.MergeTree(p.get(), r.tree_partial);
+        if (r.synopsis != nullptr) ops.Fuse(s.get(), r.synopsis);
+      }
+    }
+    switch (form) {
+      case Form::kTree:
+        return ops.EvaluateTree(p.get());
+      case Form::kSynopsis:
+        return ops.EvaluateSynopsis(s.get());
+      case Form::kCombined:
+        break;
+    }
+    return ops.EvaluateCombined(p.get(), s.get());
+  };
+
+  const auto groups = fed.broker().groups();
+  ASSERT_EQ(groups.size(), 3u);
+  const Form forms[] = {Form::kTree, Form::kSynopsis, Form::kCombined};
+  const std::vector<size_t> all = {0, 1};
+  for (size_t k = 0; k < 3; ++k) {
+    ASSERT_EQ(groups[k].values.size(), kEpochs);
+    const std::vector<size_t>& gateways = scopes[k].empty() ? all : scopes[k];
+    for (size_t e = 0; e < kEpochs; ++e) {
+      const size_t lo = e + 1 >= kWidth ? e + 1 - kWidth : 0;
+      EXPECT_EQ(groups[k].values[e], brute(gateways, lo, e + 1, forms[k]))
+          << "scope " << k << " epoch " << e;
+    }
   }
 }
 

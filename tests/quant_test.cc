@@ -564,7 +564,7 @@ TEST(QuantFedTest, CoordinatorDigestMergeIsOrderInvariant) {
   do {
     FedState st = coord.MakeState();
     for (size_t g : perm) coord.Merge(&st, {&partials[g], nullptr});
-    const double val = coord.Evaluate(st, 0);
+    const double val = st[0].Evaluate();
     if (first) {
       ref = val;
       first = false;

@@ -1,9 +1,10 @@
 // Tests for windowed streaming aggregation (src/window/).
 //
 // The load-bearing contracts:
-//   * SlidingWindow<A> / HoppingWindow<A> bit-match brute-force re-merging
-//     of the last W per-epoch root states for every registry aggregate and
-//     every side combination (tree partial only, synopsis only, both);
+//   * SlidingWindow / HoppingWindow bit-match brute-force re-merging of the
+//     last W per-epoch root states for every registry aggregate and every
+//     side combination (tree partial only, synopsis only, both), the sides
+//     coming from the pushed states themselves;
 //   * a width-1 sliding window is bit-identical to the instantaneous
 //     series for every strategy (tree / multi-path / TD evaluation forms);
 //   * a windowed query adds ZERO radio bytes: byte and energy tallies are
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "agg/aggregates.h"
+#include "agg/query_set.h"
 #include "api/experiment.h"
 #include "util/hash.h"
 #include "window/sliding_window.h"
@@ -71,9 +73,22 @@ EpochStates<A> MakeStates(const A& agg, uint32_t epochs, NodeId nodes) {
   return out;
 }
 
+/// Which sides of each epoch's root state a test pushes; an absent side is
+/// pushed as null.
+struct SideCombo {
+  bool tree = false;
+  bool synopsis = false;
+};
+
+template <Aggregate A>
+RootState EpochRoot(const EpochStates<A>& st, SideCombo sides, size_t e) {
+  return RootState{sides.tree ? &st.partials[e] : nullptr,
+                   sides.synopsis ? &st.synopses[e] : nullptr};
+}
+
 /// The reference: re-merge epochs [lo, hi) oldest-to-newest from scratch.
 template <Aggregate A>
-double BruteForce(const A& agg, const EpochStates<A>& st, WindowSides sides,
+double BruteForce(const A& agg, const EpochStates<A>& st, SideCombo sides,
                   size_t lo, size_t hi) {
   typename A::TreePartial p = agg.EmptyTreePartial();
   typename A::Synopsis s = agg.EmptySynopsis();
@@ -88,7 +103,7 @@ double BruteForce(const A& agg, const EpochStates<A>& st, WindowSides sides,
   return static_cast<double>(agg.EvaluateSynopsis(s));
 }
 
-constexpr WindowSides kSideCombos[] = {
+constexpr SideCombo kSideCombos[] = {
     {.tree = true, .synopsis = false},
     {.tree = false, .synopsis = true},
     {.tree = true, .synopsis = true},
@@ -99,14 +114,15 @@ void CheckSlidingBitMatch(const char* label, const A& agg) {
   SCOPED_TRACE(label);
   constexpr uint32_t kEpochs = 40;
   EpochStates<A> st = MakeStates(agg, kEpochs, /*nodes=*/25);
-  for (WindowSides sides : kSideCombos) {
+  const QueryOpsImpl<A> ops(agg);
+  for (SideCombo sides : kSideCombos) {
     for (uint32_t w : {1u, 2u, 3u, 7u, 16u, 40u, 64u}) {
       SCOPED_TRACE("tree=" + std::to_string(sides.tree) +
                    " syn=" + std::to_string(sides.synopsis) +
                    " W=" + std::to_string(w));
-      SlidingWindow<A> win(&agg, w, sides);
+      SlidingWindow win(&ops, w);
       for (uint32_t e = 0; e < kEpochs; ++e) {
-        win.Push(&st.partials[e], &st.synopses[e]);
+        win.Push(EpochRoot(st, sides, e));
         size_t lo = e + 1 >= w ? e + 1 - w : 0;
         EXPECT_EQ(static_cast<double>(win.Evaluate()),
                   BruteForce(agg, st, sides, lo, e + 1))
@@ -137,10 +153,11 @@ void CheckHoppingBitMatch(const char* label, const A& agg, uint32_t w,
                " hop=" + std::to_string(hop));
   constexpr uint32_t kEpochs = 30;
   EpochStates<A> st = MakeStates(agg, kEpochs, /*nodes=*/20);
-  WindowSides sides{.tree = true, .synopsis = true};
-  HoppingWindow<A> win(&agg, w, hop, sides);
+  const SideCombo sides{.tree = true, .synopsis = true};
+  const QueryOpsImpl<A> ops(agg);
+  HoppingWindow win(&ops, w, hop);
   for (uint32_t e = 0; e < kEpochs; ++e) {
-    win.Push(&st.partials[e], &st.synopses[e]);
+    win.Push(EpochRoot(st, sides, e));
     size_t lo;
     size_t hi;
     if (e + 1 >= w) {

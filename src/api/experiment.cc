@@ -236,10 +236,10 @@ Experiment Experiment::Builder::Build() {
         if (q.truth) continue;
         if (i == primary_ && truth_) continue;
         gs.truths.reserve(q.resolved_groups->num_groups());
-        for (int g = 0; g < q.resolved_groups->num_groups(); ++g) {
+        for (size_t g = 0; g < q.resolved_groups->num_groups(); ++g) {
           gs.truths.push_back(api_internal::MakeDefaultQueryTruth(
-              q, api_internal::FilterSensorsByGroup(sensors_at,
-                                                    q.resolved_groups, g)));
+              q, api_internal::FilterSensorsByGroup(
+                     sensors_at, q.resolved_groups, static_cast<int>(g))));
         }
       }
     }

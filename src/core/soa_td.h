@@ -257,14 +257,16 @@ class SoaTributaryDeltaAggregator {
     } else {
       EnsureCsr();
       edge_delivered_.Reset(csr_.num_edges());
+      const std::vector<NodeId>& parent = tree_->parents();
+      const std::vector<Mode>& mode = region_.modes();
       for (int level = rings_->max_level(); level >= 1; --level) {
         for (NodeId v : rings_->NodesAtLevel(level)) {
           if (labelling_ == Labelling::kAllMultipath) {
             RunMultipathNode(v, epoch);
-          } else if (!tree_->InTree(v)) {
-            continue;
-          } else if (region_.IsT(v)) {
-            RunTreeNode(v, tree_->parent(v), epoch);
+          } else if (parent[v] == kNoParent) {
+            continue;  // outside the tree
+          } else if (mode[v] == Mode::kTree) {
+            RunTreeNode(v, parent[v], epoch);
           } else {
             RunMultipathNode(v, epoch);
           }
@@ -343,7 +345,7 @@ class SoaTributaryDeltaAggregator {
     tree_delivered_.Set(v);
 
     if (labelling_ == Labelling::kAllTree || p == rings_->base() ||
-        region_.IsT(p)) {
+        region_.modes()[p] == Mode::kTree) {
       aggregate_->MergeTree(&tree_inbox_[p], partial);
       tree_count_[p] += contributing;
     } else {
@@ -402,10 +404,11 @@ class SoaTributaryDeltaAggregator {
 
     // Under the pinned all-M labelling every upstream ring neighbor is M.
     bool has_m_upstream = false;
+    const std::vector<Mode>& mode = region_.modes();
     const uint32_t edge_end = csr_.offsets[v + 1];
     for (uint32_t e = csr_.offsets[v]; e < edge_end; ++e) {
       const NodeId w = csr_.targets[e];
-      if (adaptive && !region_.IsM(w)) continue;
+      if (adaptive && mode[w] != Mode::kMultipath) continue;
       has_m_upstream = true;
       if (network_->Deliver(v, w, epoch)) {
         if constexpr (SoaFmSynopsis<A>) {
@@ -545,13 +548,15 @@ class SoaTributaryDeltaAggregator {
       }
       return contributing;
     }
+    const std::vector<NodeId>& parent = tree_->parents();
+    const std::vector<Mode>& mode = region_.modes();
     for (int level = 1; level <= rings_->max_level(); ++level) {
       for (NodeId v : rings_->NodesAtLevel(level)) {
         if (labelling_ == Labelling::kAllMultipath) {
           settle(v, delta_reached(v));
-        } else if (tree_->InTree(v)) {
-          settle(v, region_.IsT(v) ? tree_reached(v, tree_->parent(v))
-                                   : delta_reached(v));
+        } else if (parent[v] != kNoParent) {
+          settle(v, mode[v] == Mode::kTree ? tree_reached(v, parent[v])
+                                           : delta_reached(v));
         }
       }
     }

@@ -21,6 +21,37 @@ void OrBank(uint32_t* dst, const uint32_t* src, size_t count) {
   for (size_t i = 0; i < count; ++i) dst[i] |= src[i];
 }
 
+/// `bytes` as a carried size: 0 ("not sized") when it does not fit.
+uint16_t AsCarried(size_t bytes) {
+  return bytes <= UINT16_MAX ? static_cast<uint16_t>(bytes) : 0;
+}
+
+/// OrBank that carries the size: the result is `dst` when the OR set no new
+/// bit, and `src` when dst was a subset of src; any other result is unsized.
+void OrSizedBank(uint32_t* dst, uint16_t* dst_bytes, const uint32_t* src,
+                 uint16_t src_bytes, size_t count) {
+  uint32_t grew = 0;    // bits src adds to dst
+  uint32_t beyond = 0;  // bits of dst outside src
+  for (size_t i = 0; i < count; ++i) {
+    grew |= src[i] & ~dst[i];
+    beyond |= dst[i] & ~src[i];
+    dst[i] |= src[i];
+  }
+  if (grew != 0 || *dst_bytes == 0) *dst_bytes = beyond == 0 ? src_bytes : 0;
+}
+
+/// The size of a bank, from its carried size when it has one; otherwise
+/// sized now and stored.
+size_t SizedBytes(uint16_t* carried, const uint32_t* bank, size_t count) {
+  if (*carried == 0) {
+    const size_t bytes = BankRleBytes(bank, count);
+    *carried = AsCarried(bytes);
+    return bytes;
+  }
+  TD_DCHECK(*carried == BankRleBytes(bank, count));
+  return *carried;
+}
+
 }  // namespace
 
 int MultipathFreqParams::LogN() const {
@@ -51,6 +82,7 @@ FreqSynopsisBank MultipathFreq::SingleClassBank(NodeId key_node, uint64_t n,
   s.n_sketch.assign(CountWords(), 0u);
   FmSketch::AddValueBits(key_node, n, params_.seed, s.n_sketch.data(),
                          CountWords());
+  s.n_sketch_bytes = AsCarried(BankRleBytes(s.n_sketch.data(), CountWords()));
   for (const auto& [u, c] : counts) {
     const double est = static_cast<double>(c);
     if (est <= threshold) continue;  // pruned by SG
@@ -58,9 +90,10 @@ FreqSynopsisBank MultipathFreq::SingleClassBank(NodeId key_node, uint64_t n,
     if (count == 0) continue;
     s.items.push_back(u);  // `counts` iterates in ascending item order
     s.counters.resize(s.counters.size() + w, 0u);
+    uint32_t* counter = s.counters.data() + s.counters.size() - w;
     FmSketch::AddValueBits(Hash64Pair(u, key_node), count,
-                           params_.seed ^ Mix64(u),
-                           s.counters.data() + s.counters.size() - w, w);
+                           params_.seed ^ Mix64(u), counter, w);
+    s.counter_bytes.push_back(AsCarried(BankRleBytes(counter, w)));
   }
   return bank;
 }
@@ -92,19 +125,22 @@ void MultipathFreq::ApplyThreshold(FreqClassSynopsis* s, double n_est) const {
     }
     if (kept != k) {
       s->items[kept] = s->items[k];
+      s->counter_bytes[kept] = s->counter_bytes[k];
       std::memcpy(s->counters.data() + kept * w, counter,
                   w * sizeof(uint32_t));
     }
     ++kept;
   }
   s->items.resize(kept);
+  s->counter_bytes.resize(kept);
   s->counters.resize(kept * w);
 }
 
 void MultipathFreq::Combine(FreqClassSynopsis* a,
                             const FreqClassSynopsis& b) const {
   TD_CHECK_EQ(a->cls, b.cls);
-  OrBank(a->n_sketch.data(), b.n_sketch.data(), CountWords());
+  OrSizedBank(a->n_sketch.data(), &a->n_sketch_bytes, b.n_sketch.data(),
+              b.n_sketch_bytes, CountWords());
 
   // Sorted merge of the two item lists. Size the union first, then merge
   // from the back so `a` grows in place: a write never passes a read.
@@ -124,9 +160,12 @@ void MultipathFreq::Combine(FreqClassSynopsis* a,
   const size_t n = na + nb - shared;
   a->items.reserve(n);  // exact: fused inboxes keep no growth slack
   a->counters.reserve(n * w);
+  a->counter_bytes.reserve(n);
   a->items.resize(n);
   a->counters.resize(n * w);
+  a->counter_bytes.resize(n);
   uint32_t* out = a->counters.data();
+  uint16_t* out_bytes = a->counter_bytes.data();
   size_t i = na, j = nb, k = n;
   while (j > 0) {
     --k;
@@ -134,6 +173,7 @@ void MultipathFreq::Combine(FreqClassSynopsis* a,
     if (i > 0 && a->items[i - 1] > bj) {
       --i;
       a->items[k] = a->items[i];
+      out_bytes[k] = out_bytes[i];
       std::memcpy(out + k * w, out + i * w, w * sizeof(uint32_t));
     } else {
       --j;
@@ -142,9 +182,11 @@ void MultipathFreq::Combine(FreqClassSynopsis* a,
         --i;
         // The duplicate-insensitive "+": OR the two counters.
         if (k != i) std::memcpy(out + k * w, out + i * w, w * sizeof(uint32_t));
-        OrBank(out + k * w, from, w);
+        out_bytes[k] = out_bytes[i];
+        OrSizedBank(out + k * w, &out_bytes[k], from, b.counter_bytes[j], w);
       } else {
         std::memcpy(out + k * w, from, w * sizeof(uint32_t));
+        out_bytes[k] = b.counter_bytes[j];
       }
       a->items[k] = bj;
     }
@@ -226,11 +268,12 @@ size_t MultipathFreq::EncodedBytes(const FreqSynopsisBank& bank) const {
   const size_t w = ItemWords();
   size_t bytes = 0;
   for (const FreqClassSynopsis& syn : bank.classes) {
+    TD_DCHECK(syn.counter_bytes.size() == syn.items.size());
     bytes += 1;  // class id
-    bytes += BankRleBytes(syn.n_sketch.data(), CountWords());
+    bytes += SizedBytes(&syn.n_sketch_bytes, syn.n_sketch.data(), CountWords());
     for (size_t k = 0; k < syn.items.size(); ++k) {
       bytes += sizeof(uint32_t);  // item id
-      bytes += BankRleBytes(Counter(syn, k), w);
+      bytes += SizedBytes(&syn.counter_bytes[k], Counter(syn, k), w);
     }
   }
   return bytes;

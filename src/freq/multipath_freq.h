@@ -60,11 +60,23 @@ struct MultipathFreqParams {
 /// duplicate-insensitive counter of items[k] is the FM bank at words
 /// [k*W, (k+1)*W) of `counters`, W = MultipathFreqParams::item_bitmaps. A
 /// fuse is a sorted merge that ORs the banks of shared items.
+///
+/// Carried sizes: `counter_bytes[k]` and `n_sketch_bytes` hold the
+/// BankRleBytes of items[k]'s counter and of `n_sketch`, or 0 where the bank
+/// is not sized yet. A non-zero size always equals BankRleBytes of the bank
+/// as it stands: a bank is sized when it is created, a fuse keeps the size
+/// of a bank the OR left unchanged (or that became a copy of the other
+/// side's) and zeroes the rest, and MultipathFreq::EncodedBytes sizes only
+/// the zeros. The sizes are a memo of the encoding, not part of the value,
+/// so sizing a const synopsis fills them in; one synopsis must not be sized
+/// from two threads at once.
 struct FreqClassSynopsis {
   int cls = 0;
   std::vector<uint32_t> n_sketch;  // FM bank: duplicate-insensitive count
   std::vector<Item> items;         // ascending
   std::vector<uint32_t> counters;  // item_bitmaps words per item
+  mutable std::vector<uint16_t> counter_bytes;  // one per item; 0 = unsized
+  mutable uint16_t n_sketch_bytes = 0;          // 0 = unsized
 };
 
 /// A node's full partial result: at most one synopsis per class, in
@@ -106,7 +118,8 @@ class MultipathFreq {
 
   /// Serialized size of a bank for message accounting: per class a class
   /// id byte and the n~ bank's BankRleBytes, per item a 4-byte id and its
-  /// counter's BankRleBytes.
+  /// counter's BankRleBytes. Sizes only the banks that carry no size, and
+  /// stores what it sized in the bank.
   size_t EncodedBytes(const FreqSynopsisBank& bank) const;
 
   /// An empty bank (the fusion identity).

@@ -246,18 +246,28 @@ void BuildTiles(const uint32_t* bitmaps, size_t count, int shift, size_t c0,
   }
 }
 
-/// Lists the maximal runs of equal bits of the position-major stream of a
-/// non-empty bank, calling fn(run_length) for each in stream order. The
-/// first run's bit value is bitmaps[0] & 1 and values alternate from there.
-template <typename Fn>
-void ForEachRun(const uint32_t* bitmaps, size_t count, Fn&& fn) {
+/// The solid rows of a bank: rows [0, lo) are all ones, rows [hi, 32) all
+/// zeros, and only the fringe rows [lo, hi) are ever built.
+struct SolidRows {
+  int lo;
+  int hi;
+};
+
+SolidRows FindSolidRows(const uint32_t* bitmaps, size_t count) {
   uint32_t all = ~0u, any = 0;
   for (size_t j = 0; j < count; ++j) {
     all &= bitmaps[j];
     any |= bitmaps[j];
   }
-  const int lo = std::countr_one(all);        // rows [0, lo) are all ones
-  const int hi = 32 - std::countl_zero(any);  // rows [hi, 32) are all zeros
+  return {std::countr_one(all), 32 - std::countl_zero(any)};
+}
+
+/// Lists the maximal runs of equal bits of the position-major stream of a
+/// non-empty bank, calling fn(run_length) for each in stream order. The
+/// first run's bit value is bitmaps[0] & 1 and values alternate from there.
+template <typename Fn>
+void ForEachRun(const uint32_t* bitmaps, size_t count, Fn&& fn) {
+  const auto [lo, hi] = FindSolidRows(bitmaps, count);
 
   // The open run: its bit value and length so far.
   uint64_t bit = bitmaps[0] & 1;
@@ -315,6 +325,67 @@ inline size_t GammaBits(uint64_t n) {
   return static_cast<size_t>(2 * len + 1);
 }
 
+/// Gamma-code bits of every run of a bank of 1 to 64 bitmaps, plus the
+/// leading value bit: BankRleBytes without listing the runs. Each fringe row
+/// is one word. Only the run that enters a row from the rows before it needs
+/// its length; a run that starts and ends inside the row costs
+/// 2 floor(log2 L) + 1 bits, and floor(log2 L) is the number of k >= 1 with
+/// L >= 2^k, that is, with no transition in the 2^k - 1 positions after its
+/// start. So the row's inner runs sum in closed form over the masks E_k of
+/// positions followed by at least 2^k - 1 non-transitions (k = 1..5: an
+/// inner run is at most 63 long).
+size_t SmallBankBits(const uint32_t* bitmaps, size_t count) {
+  TD_DCHECK(count >= 1 && count <= 64);
+  const auto [lo, hi] = FindSolidRows(bitmaps, count);
+  const int n = static_cast<int>(count);
+  const uint64_t mask = ~0ULL >> (64 - n);
+  size_t bits = 1;
+  uint64_t bit = bitmaps[0] & 1;  // the open run's bit value
+  uint64_t run = static_cast<uint64_t>(lo) * count;
+  uint64_t tile[1][8];
+  for (int base = lo; base < hi; base += 8) {
+    BuildTiles(bitmaps, count, base, 0, 1, tile);
+    const int rows = std::min(8, hi - base);
+    for (int r = 0; r < rows; ++r) {
+      const uint64_t x = tile[0][r];
+      const uint64_t t = (x ^ ((x << 1) | bit)) & mask;
+      bit = (x >> (n - 1)) & 1;
+      if (t == 0) {
+        run += static_cast<uint64_t>(n);
+        continue;
+      }
+      // The first transition closes the open run.
+      bits += GammaBits(run + static_cast<uint64_t>(std::countr_zero(t)));
+      const int top = 63 - std::countl_zero(t);
+      run = static_cast<uint64_t>(n - top);
+      // Every other transition starts a run that ends inside the row.
+      const uint64_t starts = t ^ (1ULL << top);
+      if (starts == 0) continue;
+      // At step k, g marks the positions p with no transition in
+      // [p, p + 2^(k-1)), and e is E_k: none in (p, p + 2^k).
+      uint64_t g = ~t;
+      uint64_t e = g >> 1;
+      size_t log_sum = static_cast<size_t>(std::popcount(starts & e));
+      for (int k = 2; k <= 5; ++k) {
+        g &= g >> (1 << (k - 2));
+        e &= g >> (1 << (k - 1));
+        log_sum += static_cast<size_t>(std::popcount(starts & e));
+      }
+      bits += static_cast<size_t>(std::popcount(starts)) + 2 * log_sum;
+    }
+  }
+
+  if (hi < 32) {
+    // The all-zero rows: one run, merged with a trailing zero run.
+    if (bit != 0) {
+      bits += GammaBits(run);
+      run = 0;
+    }
+    run += static_cast<uint64_t>(32 - hi) * count;
+  }
+  return bits + GammaBits(run);
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeBankRle(const std::vector<uint32_t>& bitmaps) {
@@ -370,6 +441,7 @@ size_t BankRleBytes(const std::vector<uint32_t>& bitmaps) {
 
 size_t BankRleBytes(const uint32_t* bitmaps, size_t count) {
   if (count == 0) return 0;
+  if (count <= 64) return (SmallBankBits(bitmaps, count) + 7) / 8;
   size_t bits = 1;
   ForEachRun(bitmaps, count, [&bits](uint64_t run) { bits += GammaBits(run); });
   return (bits + 7) / 8;

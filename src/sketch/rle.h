@@ -17,10 +17,14 @@
 // the highest row set in any; the all-ones rows below L and the all-zero
 // rows from H up are one run each, sized in closed form. Only the fringe
 // rows [L, H) are built, eight rows at a time from branch-free 8x8
-// bit-matrix transposes (8 bitmaps x 8 positions per uint64_t), and their
-// runs are listed from the set bits of the transition mask with
-// countr_zero. Sizing and encoding share that one run lister, which needs
-// no allocation and no static or thread_local state.
+// bit-matrix transposes (8 bitmaps x 8 positions per uint64_t). Encoding
+// lists their runs from the set bits of the transition mask with
+// countr_zero. Sizing a bank of at most 64 bitmaps sums each row's runs in
+// closed form instead: only the run entering the row needs its length, and
+// the gamma bits of the runs inside it come from popcounts of the
+// transition mask against masks of long transition-free stretches (wider
+// banks are sized from the run lister). Neither path needs allocation or
+// static or thread_local state.
 #ifndef TD_SKETCH_RLE_H_
 #define TD_SKETCH_RLE_H_
 

@@ -45,6 +45,10 @@ class RegionState {
   bool IsM(NodeId id) const { return mode(id) == Mode::kMultipath; }
   bool IsT(NodeId id) const { return mode(id) == Mode::kTree; }
 
+  /// Every vertex's mode, indexed by id: mode() without the call and the
+  /// bounds check, for loops over every node or edge of an epoch.
+  const std::vector<Mode>& modes() const { return mode_; }
+
   /// T vertex whose parent is M (or which has no parent).
   bool IsSwitchableT(NodeId id) const;
 

@@ -32,6 +32,11 @@ class Tree {
   NodeId parent(NodeId id) const;
   const std::vector<NodeId>& children(NodeId id) const;
 
+  /// Every node's parent, indexed by id (kNoParent at the root and outside
+  /// the tree): parent() without the call and the bounds check, for loops
+  /// over every node of an epoch.
+  const std::vector<NodeId>& parents() const { return parent_; }
+
   /// True if the node is the root or has a parent.
   bool InTree(NodeId id) const;
 

@@ -15,6 +15,7 @@
 #include "freq/precision_gradient.h"
 #include "freq/summary.h"
 #include "freq/tree_freq.h"
+#include "sketch/rle.h"
 #include "topology/domination.h"
 #include "util/rng.h"
 #include "workload/scenario.h"
@@ -426,6 +427,127 @@ TEST(MultipathFreqTest, ClassPromotionBoundsSynopsisCount) {
   // At most logN+1 classes may coexist.
   EXPECT_LE(bank.classes.size(),
             static_cast<size_t>(mp.params().LogN() + 1));
+}
+
+// Every carried size of `bank` that is set equals BankRleBytes of its bank;
+// counts the set and unset ones into `sized` / `unsized`.
+void ExpectCarriedSizesMatch(const MultipathFreq& mp,
+                             const FreqSynopsisBank& bank, size_t* sized,
+                             size_t* unsized) {
+  const size_t w = static_cast<size_t>(mp.params().item_bitmaps);
+  for (const FreqClassSynopsis& syn : bank.classes) {
+    ASSERT_EQ(syn.counter_bytes.size(), syn.items.size());
+    if (syn.n_sketch_bytes != 0) {
+      EXPECT_EQ(syn.n_sketch_bytes, BankRleBytes(syn.n_sketch));
+    }
+    for (size_t k = 0; k < syn.items.size(); ++k) {
+      if (syn.counter_bytes[k] == 0) {
+        ++*unsized;
+        continue;
+      }
+      ++*sized;
+      EXPECT_EQ(syn.counter_bytes[k],
+                BankRleBytes(syn.counters.data() + k * w, w))
+          << "class " << syn.cls << " item " << syn.items[k];
+    }
+  }
+}
+
+// EncodedBytes from scratch: every bank sized afresh.
+size_t RecountBytes(const MultipathFreq& mp, const FreqSynopsisBank& bank) {
+  const size_t w = static_cast<size_t>(mp.params().item_bitmaps);
+  size_t bytes = 0;
+  for (const FreqClassSynopsis& syn : bank.classes) {
+    bytes += 1 + BankRleBytes(syn.n_sketch);
+    for (size_t k = 0; k < syn.items.size(); ++k) {
+      bytes += sizeof(uint32_t) + BankRleBytes(syn.counters.data() + k * w, w);
+    }
+  }
+  return bytes;
+}
+
+TEST(FreqTest, CarriedCounterSizesMatchRecount) {
+  // Seeded random Generate / ConvertSummary / Fuse sequences over a few
+  // banks, including repeated deliveries and bank-to-bank fuses. Classes
+  // promote and the rising threshold drops items; through all of it every
+  // carried size must stay equal to BankRleBytes of its bank, and
+  // EncodedBytes to a from-scratch recount. (EncodedBytes checks the same
+  // with a TD_DCHECK, which Release builds compile out.)
+  size_t sized = 0, unsized = 0, promotions = 0, drops = 0;
+  for (int item_bitmaps : {8, 32, 40}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      MultipathFreqParams params = TestParams(0.05);
+      params.item_bitmaps = item_bitmaps;
+      params.seed = seed;
+      MultipathFreq mp(params);
+      Rng rng(900 + seed);
+      std::vector<FreqSynopsisBank> banks(3, mp.EmptyBank());
+      int max_generated_class = 0;
+      std::set<Item> inserted;
+      for (int step = 0; step < 150; ++step) {
+        const NodeId node = static_cast<NodeId>(1 + rng.NextBounded(40));
+        ItemCounts counts;
+        // A few heavy items every node shares, plus light ones of its own.
+        for (int h = 0; h < 3; ++h) {
+          counts[static_cast<Item>(h + 1)] += 20 + rng.NextBounded(200);
+        }
+        for (int l = 0; l < 4; ++l) {
+          counts[static_cast<Item>(100 + rng.NextBounded(400))] +=
+              1 + rng.NextBounded(3);
+        }
+        for (const auto& [u, c] : counts) inserted.insert(u);
+        FreqSynopsisBank fresh;
+        if (rng.NextBounded(2) == 0) {
+          fresh = mp.Generate(node, counts);
+        } else {
+          Summary summary = LocalSummary(counts);
+          fresh = mp.ConvertSummary(node, summary);
+        }
+        for (const FreqClassSynopsis& syn : fresh.classes) {
+          max_generated_class = std::max(max_generated_class, syn.cls);
+          for (uint16_t b : syn.counter_bytes) EXPECT_NE(b, 0u);
+          EXPECT_NE(syn.n_sketch_bytes, 0u);
+        }
+        FreqSynopsisBank& into = banks[rng.NextBounded(banks.size())];
+        mp.Fuse(&into, fresh);
+        if (rng.NextBounded(4) == 0) mp.Fuse(&into, fresh);  // second path
+        if (rng.NextBounded(5) == 0) {
+          // A copy: Fuse's source must not alias its target.
+          const FreqSynopsisBank from = banks[rng.NextBounded(banks.size())];
+          mp.Fuse(&banks[rng.NextBounded(banks.size())], from);
+        }
+        for (const FreqSynopsisBank& bank : banks) {
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectCarriedSizesMatch(mp, bank, &sized, &unsized));
+        }
+        if (step % 7 == 0) {
+          // Sizing fills every zero; the filled sizes must be right too.
+          FreqSynopsisBank& bank = banks[rng.NextBounded(banks.size())];
+          EXPECT_EQ(mp.EncodedBytes(bank), RecountBytes(mp, bank));
+          size_t after_unsized = 0, after_sized = 0;
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectCarriedSizesMatch(mp, bank, &after_sized, &after_unsized));
+          EXPECT_EQ(after_unsized, 0u);
+          EXPECT_EQ(mp.EncodedBytes(bank), RecountBytes(mp, bank));
+        }
+      }
+      for (const FreqSynopsisBank& bank : banks) {
+        EXPECT_EQ(mp.EncodedBytes(bank), RecountBytes(mp, bank));
+        size_t kept = 0;
+        for (const FreqClassSynopsis& syn : bank.classes) {
+          if (syn.cls > max_generated_class) ++promotions;
+          kept += syn.items.size();
+        }
+        if (kept < inserted.size()) ++drops;
+      }
+    }
+  }
+  // The sequences exercised what they are for: promoted classes, dropped
+  // items, and both carried and cleared sizes.
+  EXPECT_GT(promotions, 0u);
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(sized, 0u);
+  EXPECT_GT(unsized, 0u);
 }
 
 // ------------------------------------------------- Conversion (Sec 6.3) --

@@ -481,6 +481,60 @@ TEST(RleTest, KernelMatchesReferenceOnRandomSweep) {
   }
 }
 
+TEST(RleTest, ClosedFormRunLadder) {
+  // Runs of 2^k - 1, 2^k and 2^k + 1 bits (k = 1..6) straddle every
+  // threshold of the sizer's closed-form run sum. Each run sits inside one
+  // fringe row, across row boundaries, and against the all-ones rows below
+  // and the all-zero rows above, over an alternating or a solid background.
+  for (size_t count : {1u, 8u, 32u, 40u, 63u, 64u, 65u}) {
+    const size_t total = 32 * count;
+    for (int k = 1; k <= 6; ++k) {
+      for (size_t len : {(size_t{1} << k) - 1, size_t{1} << k,
+                         (size_t{1} << k) + 1}) {
+        for (size_t ones_rows : {0u, 1u, 3u}) {
+          for (size_t zero_rows : {0u, 2u}) {
+            const size_t mid_begin = ones_rows * count;
+            const size_t mid_end = total - zero_rows * count;
+            std::vector<size_t> starts = {
+                mid_begin,           mid_begin + 1,
+                mid_begin + count / 2, mid_begin + count - 1,
+                mid_begin + count,   mid_begin + 2 * count - len / 2,
+                mid_end - len,       mid_end - len / 2,
+                mid_begin - len / 2};
+            for (size_t start : starts) {
+              if (start > total || len > total - start) continue;
+              for (int value = 0; value < 2; ++value) {
+                for (int alternating = 0; alternating < 2; ++alternating) {
+                  std::vector<uint32_t> bank(count, 0u);
+                  auto set = [&](size_t i, bool b) {
+                    const uint32_t m = 1u << (i / count);
+                    bank[i % count] = b ? bank[i % count] | m
+                                        : bank[i % count] & ~m;
+                  };
+                  for (size_t i = 0; i < total; ++i) {
+                    const bool bg = i < mid_begin  ? true
+                                    : i >= mid_end ? false
+                                    : alternating  ? i % 2 == 1
+                                                   : value == 0;
+                    set(i, bg);
+                  }
+                  for (size_t i = start; i < start + len; ++i) {
+                    set(i, value == 1);
+                  }
+                  ASSERT_EQ(BankRleBytes(bank), reference::BankRleBytes(bank))
+                      << "count=" << count << " len=" << len
+                      << " start=" << start << " value=" << value
+                      << " alternating=" << alternating;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RleTest, DecodeBitmapsRejectsTruncatedStream) {
   std::vector<uint32_t> bitmaps(40, 0x0000ffffu);
   auto bytes = EncodeBitmapsRle(bitmaps);
